@@ -10,31 +10,30 @@ scale and the returned weights are mapped back to the input scale. The
 a_tarnet ablation is a trainer mode, not a class here.
 
 DANNCR keeps the shared representation but pairs one outcome head per
-treatment with a two-logit domain discriminator; per batch it takes one
-prediction step (representation and heads on factual MSE), one
-discriminator step (cross entropy on the discriminator alone), and one
-confusion step (representation against the discriminator via a negated
-gradient). Selection uses factual validation MSE.
+treatment with a two-logit domain discriminator. danncr_train() runs
+`adbcr.trainer.run_epochs` with three phases per batch: one prediction step
+(representation and heads on factual MSE), one discriminator step (cross
+entropy on the discriminator alone), and one confusion step
+(representation against the discriminator via a negated gradient).
+Selection uses factual validation MSE; the history's distance column holds
+the discriminator's validation cross entropy.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import Adam, ParamSet, Tape, grads_for
+from .autodiff import Adam, Tape, grads_for
 from .data import TRAIN, VAL, Dataset
-from .errors import ConfigError, DatasetError, DimensionError, TrainingError
-from .model import (Scalers, _scalers_to_header, canonical_fingerprint, dense_forward,
-                    init_dense, register_checkpoint_kind, scalers_from_header,
+from .errors import ConfigError, DatasetError, DimensionError
+from .model import (CHECKPOINT_LOADERS, Network, canonical_fingerprint, check_arrays,
                     write_checkpoint)
 from .objectives import BatchView
 from .seeding import generator
-from .trainer import (EpochRecord, HistoryWriter, TrainConfig, TrainResult,
-                      labeled_view, make_batches, _finite_scalar,
-                      _validate_split_arms)
+from .trainer import (EpochRecord, TrainConfig, TrainResult, _finite_scalar,
+                      phase_optimizer, prepare_run, run_epochs)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 LASSO_TOL = 1e-7
@@ -173,10 +172,13 @@ class LassoModel:
 
 def _load_lasso(arch: dict, arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
     model = LassoModel(arch["variant"], float(arch["alpha"]), int(arch["input_dim"]))
+    d = model.input_dim
     if model.variant == "single":
+        check_arrays(arrays, {"w": (d + 1, 1), "b": (1, 1)})
         model.weights = arrays["w"][:, 0]
         model.intercept = float(arrays["b"][0, 0])
     else:
+        check_arrays(arrays, {"w0": (d, 1), "b0": (1, 1), "w1": (d, 1), "b1": (1, 1)})
         model.weights0 = arrays["w0"][:, 0]
         model.intercept0 = float(arrays["b0"][0, 0])
         model.weights1 = arrays["w1"][:, 0]
@@ -184,7 +186,7 @@ def _load_lasso(arch: dict, arrays: dict[str, np.ndarray], header: dict) -> Lass
     return model
 
 
-register_checkpoint_kind("lasso", _load_lasso)
+CHECKPOINT_LOADERS["lasso"] = _load_lasso
 
 
 def lasso_cate(model: LassoModel, x: np.ndarray) -> np.ndarray:
@@ -275,91 +277,28 @@ def fit_lasso_on_dataset(dataset: Dataset, variant: str,
                      variant, grid, seed)
 
 
-class DanncrModel:
+class DanncrModel(Network):
     """Shared representation, one outcome head per treatment, domain discriminator."""
 
     kind = "danncr"
-
-    def __init__(self, input_dim: int, shared_layers, head_layers,
-                 dropout_p: float, seed: int):
-        if input_dim < 1:
-            raise ConfigError(f"input_dim must be at least 1, got {input_dim}")
-        if not 0.0 <= dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must lie in [0, 1), got {dropout_p}")
-        self.input_dim = int(input_dim)
-        self.shared_layers = tuple(int(s) for s in shared_layers)
-        self.head_layers = tuple(int(s) for s in head_layers)
-        if not self.shared_layers or not self.head_layers:
-            raise ConfigError("layer lists must be nonempty")
-        if any(s < 1 for s in self.shared_layers + self.head_layers):
-            raise ConfigError("zero-width layer")
-        self.dropout_p = float(dropout_p)
-        self.seed = int(seed)
-        self.scalers = Scalers.identity(self.input_dim)
-        self.params = ParamSet()
-        init_dense(self.params, "phi", [self.input_dim, *self.shared_layers],
-                   generator(seed, "init", "phi"))
-        head_sizes = [self.shared_layers[-1], *self.head_layers, 1]
-        for t in (0, 1):
-            init_dense(self.params, f"head.{t}", head_sizes,
-                       generator(seed, "init", f"head.{t}"))
-        disc_sizes = [self.shared_layers[-1], *self.head_layers, 2]
-        init_dense(self.params, "disc", disc_sizes, generator(seed, "init", "disc"))
-
-    def phi_forward(self, tape: Tape, x, training: bool = False, rng=None):
-        return dense_forward(tape, self.params, "phi", len(self.shared_layers), x,
-                             self.dropout_p, training, rng, final_plain=False)
+    STACKS = (("head.0", 1), ("head.1", 1), ("disc", 2))
 
     def head_forward_graph(self, tape: Tape, t: int, h, training: bool = False, rng=None):
-        return dense_forward(tape, self.params, f"head.{t}", len(self.head_layers) + 1,
-                             h, self.dropout_p, training, rng, final_plain=True)
+        return self.stack_forward(tape, f"head.{t}", h, training, rng)
 
     def disc_forward_graph(self, tape: Tape, h, training: bool = False, rng=None):
-        return dense_forward(tape, self.params, "disc", len(self.head_layers) + 1,
-                             h, self.dropout_p, training, rng, final_plain=True)
+        return self.stack_forward(tape, "disc", h, training, rng)
 
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected covariates with {self.input_dim} columns, got shape {x.shape}")
+        x = self._check_columns(x)
         tape = Tape()
         h = self.phi_forward(tape, tape.constant(self.scalers.standardize_x(x)))
         y = [self.scalers.destandardize_y(
             self.head_forward_graph(tape, t, h).data[:, 0]) for t in (0, 1)]
         return y[0], y[1]
 
-    def save(self, path: str, *, config: dict | None = None,
-             validation_criterion: float | None = None,
-             data_seed: int | None = None,
-             split_fractions: tuple[float, float, float] | None = None) -> None:
-        arch = {
-            "input_dim": self.input_dim,
-            "shared_layers": list(self.shared_layers),
-            "head_layers": list(self.head_layers),
-            "dropout_p": self.dropout_p,
-            "seed": self.seed,
-        }
-        extra = {
-            "scalers": _scalers_to_header(self.scalers),
-            "config": config,
-            "fingerprint": canonical_fingerprint(config) if config is not None else None,
-            "validation_criterion": validation_criterion,
-            "data_seed": data_seed,
-            "split_fractions": list(split_fractions) if split_fractions else None,
-        }
-        write_checkpoint(path, self.kind, arch, dict(self.params.items()), extra)
 
-
-def _load_danncr(arch: dict, arrays: dict[str, np.ndarray], header: dict) -> DanncrModel:
-    model = DanncrModel(arch["input_dim"], arch["shared_layers"], arch["head_layers"],
-                        arch["dropout_p"], arch["seed"])
-    model.params.restore(arrays)
-    model.scalers = scalers_from_header(header["scalers"])
-    return model
-
-
-register_checkpoint_kind("danncr", _load_danncr)
+CHECKPOINT_LOADERS[DanncrModel.kind] = DanncrModel.load
 
 
 def _danncr_factual_graph(model: DanncrModel, batch: BatchView, tape: Tape,
@@ -417,68 +356,32 @@ def danncr_step_confuse(model: DanncrModel, batch: BatchView, opt: Adam,
     return value
 
 
-def danncr_validation(model: DanncrModel, val_view: BatchView) -> tuple[float, float]:
-    """Eval-mode factual MSE and discriminator cross entropy on the full split."""
+def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
+    """Eval-mode factual MSE (the criterion) and discriminator cross entropy, full split."""
     tape = Tape()
     loss = _danncr_factual_graph(model, val_view, tape, False, None)
     ce = _danncr_ce_graph(model, val_view, tape, False, None)
-    return float(loss.data[0, 0]), float(ce.data[0, 0])
+    factual = float(loss.data[0, 0])
+    return EpochRecord(0, factual, float(ce.data[0, 0]), factual)
 
 
 def danncr_train(dataset: Dataset, config: TrainConfig,
                  history_path: str | None = None) -> TrainResult:
-    """Three-phase loop; early stopping and selection on factual validation MSE.
+    """Three-phase danncr run; early stopping and selection on factual validation MSE.
 
     config.adversary_weight is reused as the gradient-reversal coefficient.
     """
     if config.mode != "danncr":
         raise ConfigError(f"danncr_train requires mode 'danncr', got {config.mode!r}")
-    _validate_split_arms(dataset)
-    train_rows = dataset.labeled_indices(TRAIN)
-    scalers = Scalers.fit(dataset.x[train_rows], dataset.y_factual[train_rows])
-    train_view = labeled_view(dataset, TRAIN, scalers)
-    val_view = labeled_view(dataset, VAL, scalers)
-
-    model = DanncrModel(dataset.x.shape[1], config.shared_layers, config.head_layers,
-                        config.dropout_p, config.seed)
-    model.scalers = scalers
-    rng_batch = generator(config.seed, "batching")
-    rng_drop = generator(config.seed, "dropout")
-    opt_predict = Adam(model.params.subset("phi.", "head."), config.learning_rate,
-                       config.weight_decay)
-    opt_disc = Adam(model.params.subset("disc."), config.learning_rate,
-                    config.weight_decay)
-    opt_confuse = Adam(model.params.subset("phi."), config.learning_rate,
-                       config.weight_decay)
-
-    history: list[EpochRecord] = []
-    writer = HistoryWriter(history_path, with_distance=True)
-    best_value = math.inf
-    best_epoch = 0
-    best_params = None
-    streak = 0
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            for batch in make_batches(train_view, config.batch_size, rng_batch):
-                danncr_step_predict(model, batch, opt_predict, rng_drop)
-                danncr_step_discriminate(model, batch, opt_disc, rng_drop)
-                danncr_step_confuse(model, batch, opt_confuse,
-                                    config.adversary_weight, rng_drop)
-            factual, ce = danncr_validation(model, val_view)
-            if not np.isfinite(factual):
-                raise TrainingError("non-finite validation loss")
-            record = EpochRecord(epoch, factual, ce, factual)
-            history.append(record)
-            writer.write(record)
-            improved = record.criterion < best_value - 1e-12
-            if record.criterion < best_value:
-                best_value = record.criterion
-                best_epoch = epoch
-                best_params = model.params.snapshot()
-            streak = 0 if improved else streak + 1
-            if streak >= config.patience:
-                break
-    finally:
-        writer.close()
-    model.params.restore(best_params)
-    return TrainResult(model, best_value, best_epoch, history, config)
+    model, train_view, val_view = prepare_run(dataset, config, DanncrModel)
+    opt_predict = phase_optimizer(model, config, "phi.", "head.")
+    opt_disc = phase_optimizer(model, config, "disc.")
+    opt_confuse = phase_optimizer(model, config, "phi.")
+    phases = [
+        lambda batch, rng: danncr_step_predict(model, batch, opt_predict, rng),
+        lambda batch, rng: danncr_step_discriminate(model, batch, opt_disc, rng),
+        lambda batch, rng: danncr_step_confuse(model, batch, opt_confuse,
+                                               config.adversary_weight, rng),
+    ]
+    return run_epochs(model, train_view, config, phases,
+                      lambda: danncr_validation(model, val_view), history_path)

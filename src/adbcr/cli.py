@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__
 from . import baselines, data, evaluation, trainer
-from .errors import (AdbcrError, CheckpointError, ConfigError, SearchError,
-                     TrainingError)
+from .errors import AdbcrError, ConfigError, SearchError, TrainingError
 from .evaluation import MetricsReport
-from .model import CHECKPOINT_LOADERS, canonical_fingerprint, read_checkpoint
+from .model import canonical_fingerprint, load_checkpoint
 
 DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
 TRAIN_MODES = ("adbcr", "uadbcr", "a-tarnet", "danncr", "s-lasso", "t-lasso")
@@ -229,21 +228,23 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-TRAIN_NET_SPEC = {
-    "shared_layers": (parse_int_list, (50, 50)),
-    "head_layers": (parse_int_list, (50, 50)),
-    "dropout_p": (float, 0.1),
-    "weight_decay": (float, 0.01),
-    "batch_size": (int, 100),
-    "learning_rate": (float, 1e-3),
-    "k": (int, 1),
-    "adversary_weight": (float, 1.0),
-    "patience": (int, 100),
-    "max_epochs": (int, 1000),
-    "metric": (str, "l1"),
-    "trailing_step_a": (parse_bool, True),
-    "imbalance_weight": (float, 1.0),
-}
+# TrainConfig fields settable from the command line, with TrainConfig's defaults.
+_TRAIN_DEFAULTS = trainer.TrainConfig()
+TRAIN_NET_SPEC = {key: (parser, getattr(_TRAIN_DEFAULTS, key)) for key, parser in {
+    "shared_layers": parse_int_list,
+    "head_layers": parse_int_list,
+    "dropout_p": float,
+    "weight_decay": float,
+    "batch_size": int,
+    "learning_rate": float,
+    "k": int,
+    "adversary_weight": float,
+    "patience": int,
+    "max_epochs": int,
+    "metric": str,
+    "trailing_step_a": parse_bool,
+    "imbalance_weight": float,
+}.items()}
 
 TRAIN_DATA_SPEC = {
     "split_seed": (int, 0),
@@ -296,15 +297,8 @@ def cmd_train(args) -> int:
         print(f"{mode}: alpha={model.alpha:.6g}" if variant == "single"
               else f"{mode}: alpha={model.alpha:.6g} (shared grid choice)")
     else:
-        config = trainer.TrainConfig(
-            shared_layers=options["shared_layers"], head_layers=options["head_layers"],
-            dropout_p=options["dropout_p"], weight_decay=options["weight_decay"],
-            batch_size=options["batch_size"], learning_rate=options["learning_rate"],
-            k=options["k"], adversary_weight=options["adversary_weight"],
-            patience=options["patience"], max_epochs=options["max_epochs"],
-            seed=args.seed, mode=mode.replace("-", "_"), metric=options["metric"],
-            trailing_step_a=options["trailing_step_a"],
-            imbalance_weight=options["imbalance_weight"])
+        config = trainer.TrainConfig(**{key: options[key] for key in TRAIN_NET_SPEC},
+                                     seed=args.seed, mode=mode.replace("-", "_"))
         history_path = os.path.join(args.out, "history.tsv")
         outputs["history"] = history_path
         run = baselines.danncr_train if config.mode == "danncr" else trainer.train
@@ -351,13 +345,8 @@ SEARCH_SPACE_SPEC = {
     "draws": (int, None),
 }
 
-SEARCH_BASE_SPEC = {
-    "patience": (int, 100),
-    "max_epochs": (int, 1000),
-    "metric": (str, "l1"),
-    "trailing_step_a": (parse_bool, True),
-    "imbalance_weight": (float, 1.0),
-}
+SEARCH_BASE_SPEC = {key: TRAIN_NET_SPEC[key] for key in
+                    ("patience", "max_epochs", "metric", "trailing_step_a", "imbalance_weight")}
 
 
 def cmd_search(args) -> int:
@@ -371,10 +360,7 @@ def cmd_search(args) -> int:
                      "learning_rate", "k", "adversary_weight", "draws")
                     if options[key] is not None}
     space = evaluation.SearchSpace(**space_kwargs)
-    base = trainer.TrainConfig(
-        patience=options["patience"], max_epochs=options["max_epochs"],
-        metric=options["metric"], trailing_step_a=options["trailing_step_a"],
-        imbalance_weight=options["imbalance_weight"])
+    base = trainer.TrainConfig(**{key: options[key] for key in SEARCH_BASE_SPEC})
     mode = args.mode.replace("-", "_")
     options["mode"] = args.mode
     options["jobs"] = args.jobs
@@ -426,11 +412,7 @@ EVAL_SPEC = {
 def cmd_eval(args) -> int:
     started = time.monotonic()
     options = resolve_options(args, EVAL_SPEC)
-    kind, arch, arrays, header = read_checkpoint(args.checkpoint)
-    loader = CHECKPOINT_LOADERS.get(kind)
-    if loader is None:
-        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    model = loader(arch, arrays, header)
+    model, header = load_checkpoint(args.checkpoint)
     split_seed = options["split_seed"]
     if split_seed is None:
         split_seed = header.get("data_seed")
@@ -450,7 +432,7 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
     evaluation.write_reports_csv(report_path, reports)
-    print(f"checkpoint kind {kind}")
+    print(f"checkpoint kind {header['kind']}")
     for report in reports:
         _print_report(report)
     manifest_path = write_manifest(args.out, _manifest(

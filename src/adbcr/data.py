@@ -297,7 +297,10 @@ def save_csv(dataset: Dataset, path: str) -> None:
 
 
 def load_csv(path: str) -> Dataset:
-    """Parse the interchange CSV; errors carry the offending row and column."""
+    """Parse the interchange CSV; errors carry the offending row and column.
+
+    Every cell must hold a finite number; nan and inf are rejected.
+    """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -335,6 +338,10 @@ def load_csv(path: str) -> Dataset:
             except ValueError:
                 raise ParseError(f"non-numeric value {record[j]!r}",
                                  row=i + 2, column=name) from None
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseError(f"non-finite value {rows[i][j]!r}", row=i + 2, column=name)
         return out
 
     t_raw = column("t")

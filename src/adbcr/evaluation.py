@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,7 +188,10 @@ def _choice(rng: np.random.Generator, values):
 
 def sample_configs(space: SearchSpace, mode: str, seed: int,
                    base: TrainConfig | None = None) -> list[TrainConfig]:
-    """Deterministic config list: architectures in order, draws within."""
+    """Deterministic config list: architectures in order, draws within.
+
+    Fields the space does not sample keep base's values.
+    """
     base = base if base is not None else TrainConfig()
     rng = generator(seed, "search")
     lo, hi = space.learning_rate
@@ -196,7 +199,8 @@ def sample_configs(space: SearchSpace, mode: str, seed: int,
     for shared, head in space.architectures:
         for _ in range(space.draws):
             lr = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            configs.append(TrainConfig(
+            configs.append(replace(
+                base,
                 shared_layers=tuple(shared),
                 head_layers=tuple(head),
                 dropout_p=float(_choice(rng, space.dropout)),
@@ -205,13 +209,8 @@ def sample_configs(space: SearchSpace, mode: str, seed: int,
                 learning_rate=lr,
                 k=int(_choice(rng, space.k)),
                 adversary_weight=float(_choice(rng, space.adversary_weight)),
-                patience=base.patience,
-                max_epochs=base.max_epochs,
                 seed=int(rng.integers(2 ** 31 - 1)),
                 mode=mode,
-                metric=base.metric,
-                trailing_step_a=base.trailing_step_a,
-                imbalance_weight=base.imbalance_weight,
             ))
     return configs
 
@@ -264,6 +263,8 @@ def search(dataset: Dataset, space: SearchSpace, mode: str, seed: int,
     Records keep config order, so equal criteria resolve to the earlier
     config and the search is deterministic given its seed.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     configs = sample_configs(space, mode, seed, base)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

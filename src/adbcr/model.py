@@ -1,10 +1,14 @@
-"""Shared-representation network with two outcome heads per treatment.
+"""Networks over a shared representation, and the checkpoint container.
 
-The network maps standardized covariates through a shared stack of dense
-layers (linear, ELU, dropout) and feeds the result to four scalar heads,
-two per treatment arm, initialized from independent streams so each pair
-starts genuinely different. Predictions average the pair for each arm and
-are de-standardized with scalers learned from the training split.
+`Network` maps standardized covariates through a shared stack of dense
+layers (linear, ELU, dropout) and feeds the result to the dense stacks a
+subclass declares, each initialized from its own stream so stacks start
+genuinely different. It owns the construction checks, the column check,
+`save`, and the `load` that rebuilds a network and checks every stored
+parameter's name and shape. `AdbcrModel` declares four scalar heads, two
+per treatment arm; its predictions average the pair for each arm and are
+de-standardized with scalers learned from the training split. The danncr
+contrast network (`adbcr.baselines.DanncrModel`) is the other subclass.
 
 The module also owns the checkpoint container used by every model kind in
 the package: a magic string, a format version, a canonical JSON header, and
@@ -103,10 +107,16 @@ def _check_layer_sizes(name: str, sizes) -> tuple[int, ...]:
     return sizes
 
 
-class AdbcrModel:
-    """Shared representation plus two outcome heads per treatment arm."""
+class Network:
+    """Shared representation `phi` feeding the dense stacks a subclass declares.
 
-    kind = "adbcr"
+    STACKS lists (prefix, output width) in init order; every stack has the
+    head_layers hidden widths and a purely linear output layer, and draws
+    its initial weights from its own seed stream named after its prefix.
+    """
+
+    kind: str
+    STACKS: tuple[tuple[str, int], ...]
 
     def __init__(self, input_dim: int, shared_layers, head_layers,
                  dropout_p: float, seed: int):
@@ -123,29 +133,20 @@ class AdbcrModel:
         self.params = ParamSet()
         init_dense(self.params, "phi", [self.input_dim, *self.shared_layers],
                    generator(seed, "init", "phi"))
-        head_sizes = [self.shared_layers[-1], *self.head_layers, 1]
-        for t, r in HEAD_KEYS:
-            init_dense(self.params, f"head.{t}.{r}", head_sizes,
-                       generator(seed, "init", f"head.{t}.{r}"))
-
-    @property
-    def n_phi_layers(self) -> int:
-        return len(self.shared_layers)
-
-    @property
-    def n_head_layers(self) -> int:
-        return len(self.head_layers) + 1
+        for prefix, width in self.STACKS:
+            init_dense(self.params, prefix, [self.shared_layers[-1], *self.head_layers, width],
+                       generator(seed, "init", prefix))
 
     def phi_forward(self, tape: Tape, x: autodiff.Tensor, training: bool = False,
                     rng: np.random.Generator | None = None) -> autodiff.Tensor:
-        return dense_forward(tape, self.params, "phi", self.n_phi_layers, x,
+        return dense_forward(tape, self.params, "phi", len(self.shared_layers), x,
                              self.dropout_p, training, rng, final_plain=False)
 
-    def head_forward_graph(self, tape: Tape, t: int, r: int, h: autodiff.Tensor,
-                           training: bool = False,
-                           rng: np.random.Generator | None = None) -> autodiff.Tensor:
-        return dense_forward(tape, self.params, f"head.{t}.{r}", self.n_head_layers,
-                             h, self.dropout_p, training, rng, final_plain=True)
+    def stack_forward(self, tape: Tape, prefix: str, h: autodiff.Tensor,
+                      training: bool = False,
+                      rng: np.random.Generator | None = None) -> autodiff.Tensor:
+        return dense_forward(tape, self.params, prefix, len(self.head_layers) + 1, h,
+                             self.dropout_p, training, rng, final_plain=True)
 
     def _check_columns(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -153,6 +154,49 @@ class AdbcrModel:
             raise DimensionError(
                 f"expected covariates with {self.input_dim} columns, got shape {x.shape}")
         return x
+
+    def save(self, path: str, *, config: dict | None = None,
+             validation_criterion: float | None = None,
+             data_seed: int | None = None,
+             split_fractions: tuple[float, float, float] | None = None) -> None:
+        arch = {
+            "input_dim": self.input_dim,
+            "shared_layers": list(self.shared_layers),
+            "head_layers": list(self.head_layers),
+            "dropout_p": self.dropout_p,
+            "seed": self.seed,
+        }
+        extra = {
+            "scalers": _scalers_to_header(self.scalers),
+            "config": config,
+            "fingerprint": canonical_fingerprint(config) if config is not None else None,
+            "validation_criterion": validation_criterion,
+            "data_seed": data_seed,
+            "split_fractions": list(split_fractions) if split_fractions else None,
+        }
+        write_checkpoint(path, self.kind, arch, dict(self.params.items()), extra)
+
+    @classmethod
+    def load(cls, arch: dict, arrays: dict[str, np.ndarray], header: dict) -> "Network":
+        """Rebuild a saved network; the arrays must match its architecture exactly."""
+        model = cls(arch["input_dim"], arch["shared_layers"], arch["head_layers"],
+                    arch["dropout_p"], arch["seed"])
+        check_arrays(arrays, {name: a.shape for name, a in model.params.items()})
+        model.params.restore(arrays)
+        model.scalers = scalers_from_header(header["scalers"])
+        return model
+
+
+class AdbcrModel(Network):
+    """Shared representation plus two outcome heads per treatment arm."""
+
+    kind = "adbcr"
+    STACKS = tuple((f"head.{t}.{r}", 1) for t, r in HEAD_KEYS)
+
+    def head_forward_graph(self, tape: Tape, t: int, r: int, h: autodiff.Tensor,
+                           training: bool = False,
+                           rng: np.random.Generator | None = None) -> autodiff.Tensor:
+        return self.stack_forward(tape, f"head.{t}.{r}", h, training, rng)
 
     def forward_head(self, x: np.ndarray, t: int, r: int, training: bool = False,
                      rng: np.random.Generator | None = None) -> np.ndarray:
@@ -177,27 +221,6 @@ class AdbcrModel:
             avg = 0.5 * (outs[(t, 0)].data[:, 0] + outs[(t, 1)].data[:, 0])
             y.append(self.scalers.destandardize_y(avg))
         return y[0], y[1]
-
-    def save(self, path: str, *, config: dict | None = None,
-             validation_criterion: float | None = None,
-             data_seed: int | None = None,
-             split_fractions: tuple[float, float, float] | None = None) -> None:
-        arch = {
-            "input_dim": self.input_dim,
-            "shared_layers": list(self.shared_layers),
-            "head_layers": list(self.head_layers),
-            "dropout_p": self.dropout_p,
-            "seed": self.seed,
-        }
-        extra = {
-            "scalers": _scalers_to_header(self.scalers),
-            "config": config,
-            "fingerprint": canonical_fingerprint(config) if config is not None else None,
-            "validation_criterion": validation_criterion,
-            "data_seed": data_seed,
-            "split_fractions": list(split_fractions) if split_fractions else None,
-        }
-        write_checkpoint(path, self.kind, arch, dict(self.params.items()), extra)
 
 
 def _scalers_to_header(s: Scalers) -> dict:
@@ -295,31 +318,36 @@ def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
     return header["kind"], header["arch"], arrays, header
 
 
-CHECKPOINT_LOADERS: dict[str, Callable[[dict, dict[str, np.ndarray], dict], object]] = {}
+def check_arrays(arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
+    """Raise CheckpointError unless arrays has exactly the expected names and shapes."""
+    found = {name: a.shape for name, a in arrays.items()}
+    bad = [f"{name}: stored {found.get(name, 'nothing')}, "
+           f"expected {expected.get(name, 'nothing')}"
+           for name in sorted(found.keys() | expected.keys())
+           if found.get(name) != expected.get(name)]
+    if bad:
+        raise CheckpointError("checkpoint parameters do not match the declared "
+                              "architecture: " + "; ".join(bad))
 
 
-def register_checkpoint_kind(kind: str, loader: Callable) -> None:
-    CHECKPOINT_LOADERS[kind] = loader
+# Loader of each checkpoint kind; adbcr.baselines adds the lasso and danncr kinds.
+CHECKPOINT_LOADERS: dict[str, Callable[[dict, dict[str, np.ndarray], dict], object]] = {
+    AdbcrModel.kind: AdbcrModel.load}
 
 
-def _load_adbcr(arch: dict, arrays: dict[str, np.ndarray], header: dict) -> AdbcrModel:
-    model = AdbcrModel(arch["input_dim"], arch["shared_layers"], arch["head_layers"],
-                       arch["dropout_p"], arch["seed"])
-    if sorted(arrays) != sorted(model.params.names()):
-        raise CheckpointError("checkpoint parameters do not match the declared architecture")
-    model.params.restore(arrays)
-    model.scalers = scalers_from_header(header["scalers"])
-    return model
+def load_checkpoint(path: str) -> tuple[object, dict]:
+    """Load any checkpoint written by this package as (model, header).
 
-
-register_checkpoint_kind("adbcr", _load_adbcr)
-
-
-def load_model(path: str):
-    """Load any checkpoint written by this package, dispatching on its kind."""
+    Dispatches on the checkpoint's kind.
+    """
     kind, arch, arrays, header = read_checkpoint(path)
     loader = CHECKPOINT_LOADERS.get(kind)
     if loader is None:
         raise CheckpointError(
             f"unknown checkpoint kind {kind!r}; known kinds: {sorted(CHECKPOINT_LOADERS)}")
-    return loader(arch, arrays, header)
+    return loader(arch, arrays, header), header
+
+
+def load_model(path: str):
+    """The model of load_checkpoint(path)."""
+    return load_checkpoint(path)[0]

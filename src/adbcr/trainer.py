@@ -1,27 +1,32 @@
-"""Adversarial training loop: factual step, head-adversary step, representation step.
+"""The epoch loop of every network mode, and the adbcr/uadbcr/a_tarnet phases.
 
-Per batch the loop runs step_A (all parameters follow the factual loss),
-step_B (heads follow factual loss minus the weighted distance, shared
-representation frozen), step_C repeated k times (shared representation
-follows the distance, heads frozen), and a trailing step_A. The a_tarnet
-mode runs only the leading step_A. Each phase owns its own Adam instance,
-so freezes hold structurally: a phase's optimizer never sees the frozen
-tensors.
+A mode is a list of per-batch phases plus a validation function; run_epochs()
+runs any such list and owns batching, the history file, early stopping and
+the best-epoch snapshot. Each phase owns its own Adam instance, so freezes
+hold structurally: a phase's optimizer never sees the frozen tensors.
+
+train() builds the adversarial modes' phases: step_A (all parameters follow
+the factual loss), step_B (heads follow factual loss minus the weighted
+distance, shared representation frozen), step_C repeated k times (shared
+representation follows the distance, heads frozen), and a trailing step_A.
+The a_tarnet mode runs only the leading step_A. The danncr phases are built
+by `adbcr.baselines.danncr_train`.
 
 After every epoch the validation criterion (factual loss plus distance for
-adbcr/uadbcr, factual loss alone for a_tarnet) is evaluated on the full
-validation split in eval mode; the best epoch's parameters are returned
-and training stops once `patience` consecutive epochs fail to improve the
-criterion by more than 1e-12.
+adbcr/uadbcr, factual loss alone for a_tarnet and danncr) is evaluated on
+the full validation split in eval mode; the best epoch's parameters are
+returned and training stops once `patience` consecutive epochs fail to
+improve the criterion by more than IMPROVEMENT_EPS.
 
-Outcomes are standardized from the training split inside train(); the
-scalers are stored on the model, so predictions come back on the original
-scale. Covariates are standardized the same way.
+Outcomes and covariates are standardized with scalers fit on the training
+split in prepare_run(); the scalers are stored on the model, so
+predictions come back on the original scale.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from . import autodiff, objectives
 from .autodiff import Adam, Tape, grads_for
 from .data import TRAIN, VAL, Dataset
 from .errors import ConfigError, DatasetError, TrainingError
-from .model import AdbcrModel, Scalers, canonical_fingerprint
+from .model import AdbcrModel, Network, Scalers, canonical_fingerprint
 from .objectives import BatchView, build_losses
 from .seeding import generator
 
@@ -226,36 +231,26 @@ def labeled_view(dataset: Dataset, split: int, scalers: Scalers,
     )
 
 
-def _validate_split_arms(dataset: Dataset) -> None:
-    if dataset.split is None:
-        raise DatasetError("dataset has no split assignment; call split() first")
-    for split, name in ((TRAIN, "train"), (VAL, "validation")):
-        rows = dataset.labeled_indices(split)
-        t = dataset.t[rows]
-        if (t == 1).sum() == 0 or (t == 0).sum() == 0:
-            raise DatasetError(f"{name} split lacks a treatment arm")
-
-
 def evaluate_validation(model: AdbcrModel, val_view: BatchView, config: TrainConfig) -> EpochRecord:
     """Eval-mode validation quantities for one epoch, full split, one pass."""
     tape = Tape()
     if config.mode == "a_tarnet":
         loss, _ = build_losses(model, val_view, tape, need_distance=False)
         factual = float(loss.data[0, 0])
-        record = EpochRecord(0, factual, None, factual)
-    else:
-        loss, dist = build_losses(model, val_view, tape, metric=config.metric)
-        factual = float(loss.data[0, 0])
-        distance = float(dist.data[0, 0])
-        record = EpochRecord(0, factual, distance,
-                             factual + config.imbalance_weight * distance)
-    if not np.isfinite(record.criterion):
-        raise TrainingError("non-finite validation criterion")
-    return record
+        return EpochRecord(0, factual, None, factual)
+    loss, dist = build_losses(model, val_view, tape, metric=config.metric)
+    factual = float(loss.data[0, 0])
+    distance = float(dist.data[0, 0])
+    return EpochRecord(0, factual, distance, factual + config.imbalance_weight * distance)
 
 
 class HistoryWriter:
-    """Tab-separated per-epoch log; the distance column is omitted when absent."""
+    """Tab-separated per-epoch log of the validation values.
+
+    Columns: epoch, factual, distance, criterion. The distance column is
+    absent in a_tarnet mode; in danncr mode it holds the discriminator's
+    validation cross entropy, which does not enter the criterion.
+    """
 
     def __init__(self, path: str | None, with_distance: bool):
         self._file = open(path, "w", encoding="utf-8") if path else None
@@ -280,40 +275,53 @@ class HistoryWriter:
             self._file.close()
 
 
-def train(dataset: Dataset, config: TrainConfig,
-          history_path: str | None = None) -> TrainResult:
-    """Run the full loop and return the best epoch's model and the history."""
-    if config.mode == "danncr":
-        raise ConfigError("danncr training lives in baselines.danncr_train")
-    _validate_split_arms(dataset)
+def prepare_run(dataset: Dataset, config: TrainConfig,
+                network: type[Network]) -> tuple[Network, BatchView, BatchView]:
+    """A fresh network with training-split scalers, plus the train and validation views.
+
+    Both labeled splits must hold both arms. Only uadbcr mode adds the
+    unlabeled pool to the training view.
+    """
+    if dataset.split is None:
+        raise DatasetError("dataset has no split assignment; call split() first")
+    for split, name in ((TRAIN, "train"), (VAL, "validation")):
+        rows = dataset.labeled_indices(split)
+        t = dataset.t[rows]
+        if (t == 1).sum() == 0 or (t == 0).sum() == 0:
+            raise DatasetError(f"{name} split lacks a treatment arm")
     train_rows = dataset.labeled_indices(TRAIN)
     scalers = Scalers.fit(dataset.x[train_rows], dataset.y_factual[train_rows])
-
     unlabeled = None
     if config.mode == "uadbcr":
         pool = dataset.unlabeled_rows()
         if pool.size > 0:
             unlabeled = scalers.standardize_x(dataset.x[pool])
-    train_view = labeled_view(dataset, TRAIN, scalers, unlabeled)
-    val_view = labeled_view(dataset, VAL, scalers)
-
-    model = AdbcrModel(dataset.x.shape[1], config.shared_layers, config.head_layers,
-                       config.dropout_p, config.seed)
+    model = network(dataset.x.shape[1], config.shared_layers, config.head_layers,
+                    config.dropout_p, config.seed)
     model.scalers = scalers
+    return (model, labeled_view(dataset, TRAIN, scalers, unlabeled),
+            labeled_view(dataset, VAL, scalers))
+
+
+def phase_optimizer(model: Network, config: TrainConfig, *prefixes: str) -> Adam:
+    """A phase's own Adam over the parameters whose names start with a prefix."""
+    return Adam(model.params.subset(*prefixes), config.learning_rate, config.weight_decay)
+
+
+def run_epochs(model: Network, train_view: BatchView, config: TrainConfig,
+               phases: list[Callable[[BatchView, np.random.Generator], object]],
+               validate: Callable[[], EpochRecord],
+               history_path: str | None = None) -> TrainResult:
+    """The epoch loop every network mode runs.
+
+    Each batch passes through the phases in order, all drawing dropout from
+    one stream; after each epoch validate() scores the model. The best
+    epoch's parameters are restored at the end.
+    """
     rng_batch = generator(config.seed, "batching")
     rng_drop = generator(config.seed, "dropout")
-
-    opt_a = Adam(model.params.subset("phi.", "head."), config.learning_rate,
-                 config.weight_decay)
-    adversarial = config.mode in ("adbcr", "uadbcr")
-    if adversarial:
-        opt_b = Adam(model.params.subset("head."), config.learning_rate,
-                     config.weight_decay)
-        opt_c = Adam(model.params.subset("phi."), config.learning_rate,
-                     config.weight_decay)
-
     history: list[EpochRecord] = []
-    writer = HistoryWriter(history_path, with_distance=adversarial)
+    writer = HistoryWriter(history_path, with_distance=config.mode != "a_tarnet")
     best_value = math.inf
     best_epoch = 0
     best_params = None
@@ -321,14 +329,11 @@ def train(dataset: Dataset, config: TrainConfig,
     try:
         for epoch in range(1, config.max_epochs + 1):
             for batch in make_batches(train_view, config.batch_size, rng_batch):
-                step_A(model, batch, opt_a, rng_drop)
-                if adversarial:
-                    step_B(model, batch, opt_b, config.adversary_weight, rng_drop,
-                           config.metric)
-                    step_C(model, batch, opt_c, config.k, rng_drop, config.metric)
-                    if config.trailing_step_a:
-                        step_A(model, batch, opt_a, rng_drop)
-            record = evaluate_validation(model, val_view, config)
+                for phase in phases:
+                    phase(batch, rng_drop)
+            record = validate()
+            if not np.isfinite(record.criterion):
+                raise TrainingError("non-finite validation criterion")
             record.epoch = epoch
             history.append(record)
             writer.write(record)
@@ -344,3 +349,24 @@ def train(dataset: Dataset, config: TrainConfig,
         writer.close()
     model.params.restore(best_params)
     return TrainResult(model, best_value, best_epoch, history, config)
+
+
+def train(dataset: Dataset, config: TrainConfig,
+          history_path: str | None = None) -> TrainResult:
+    """Train in adbcr, uadbcr or a_tarnet mode; return the best epoch's model and the history."""
+    if config.mode == "danncr":
+        raise ConfigError("danncr training lives in baselines.danncr_train")
+    model, train_view, val_view = prepare_run(dataset, config, AdbcrModel)
+    opt_a = phase_optimizer(model, config, "phi.", "head.")
+    phases = [lambda batch, rng: step_A(model, batch, opt_a, rng)]
+    if config.mode != "a_tarnet":
+        opt_b = phase_optimizer(model, config, "head.")
+        opt_c = phase_optimizer(model, config, "phi.")
+        phases.append(lambda batch, rng: step_B(model, batch, opt_b, config.adversary_weight,
+                                                rng, config.metric))
+        phases.append(lambda batch, rng: step_C(model, batch, opt_c, config.k, rng,
+                                                config.metric))
+        if config.trailing_step_a:
+            phases.append(phases[0])
+    return run_epochs(model, train_view, config, phases,
+                      lambda: evaluate_validation(model, val_view, config), history_path)

@@ -256,6 +256,19 @@ def test_csv_non_numeric_cell_located(tmp_path):
     assert err.value.column == "y_factual"
 
 
+@pytest.mark.parametrize("column", ["x0", "y_factual"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_cell_located(tmp_path, value, column):
+    path = tmp_path / "bad.csv"
+    cells = {"t": "1", "y_factual": "1.0", "x0": "3.0"}
+    cells[column] = value
+    path.write_text("t,y_factual,x0\n0,1.0,2.0\n" + ",".join(cells.values()) + "\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        load_csv(str(path))
+    assert err.value.row == 3
+    assert err.value.column == column
+
+
 def test_csv_bad_treatment_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,y_factual,x0\n2,1.0,2.0\n")

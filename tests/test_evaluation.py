@@ -288,6 +288,12 @@ def test_search_parallel_matches_serial(bench_dataset):
     assert serial.best_index == parallel.best_index
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_search_rejects_jobs_below_one(bench_dataset, jobs):
+    with pytest.raises(ConfigError, match="jobs"):
+        search(bench_dataset, tiny_space(), "adbcr", seed=0, base=search_base(), jobs=jobs)
+
+
 def test_search_danncr_mode(bench_dataset):
     result = search(bench_dataset, tiny_space(), "danncr", seed=0, base=search_base())
     assert result.records[0].status == "ok"

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
-                         read_checkpoint)
+                         read_checkpoint, write_checkpoint)
 
 
 def tiny_model(seed: int = 0, d: int = 3) -> AdbcrModel:
@@ -228,6 +229,40 @@ def test_checkpoint_atomic_no_partial_on_error(tmp_path):
         model.save(path)  # parent directory missing
     assert not os.path.exists(path)
     assert os.listdir(tmp_path) == []
+
+
+def saved_kind(kind: str, path: str) -> str:
+    """Save a small model of the kind; return the parameter a defect test tampers with."""
+    if kind == "adbcr":
+        tiny_model().save(path)
+        return "phi.0.b"
+    if kind == "danncr":
+        DanncrModel(3, (6, 5), (4,), 0.2, 0).save(path)
+        return "disc.0.b"
+    rng = np.random.default_rng(0)
+    fit_lasso(rng.normal(size=(20, 3)), np.arange(20) % 2, rng.normal(size=20),
+              "per_treatment", alpha=0.1).save(path)
+    return "w1"
+
+
+@pytest.mark.parametrize("defect", ["missing", "extra", "misshaped"])
+@pytest.mark.parametrize("kind", ["adbcr", "danncr", "lasso"])
+def test_checkpoint_arrays_must_match_architecture(tmp_path, kind, defect):
+    """A stored parameter set that is not exactly the architecture's is rejected."""
+    path = str(tmp_path / "m.ckpt")
+    name = saved_kind(kind, path)
+    _, arch, arrays, header = read_checkpoint(path)
+    if defect == "missing":
+        del arrays[name]
+    elif defect == "extra":
+        name = "extra.0.w"
+        arrays[name] = np.zeros((1, 1))
+    else:
+        arrays[name] = arrays[name][:1, :1]
+    extra = {k: v for k, v in header.items() if k not in ("kind", "arch", "params")}
+    write_checkpoint(path, kind, arch, arrays, extra)
+    with pytest.raises(CheckpointError, match=name):
+        load_model(path)
 
 
 def test_canonical_fingerprint_stable():

@@ -4,6 +4,7 @@ import pytest
 
 from adbcr import data, objectives
 from adbcr.autodiff import Adam
+from adbcr.baselines import danncr_train
 from adbcr.errors import ConfigError, DatasetError, TrainingError
 from adbcr.model import AdbcrModel, Scalers
 from adbcr.objectives import BatchView, discriminative_distance, factual_loss
@@ -19,6 +20,12 @@ def quick_config(**overrides) -> TrainConfig:
                 batch_size=40, learning_rate=1e-3, patience=5, max_epochs=8, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def run_mode(dataset, config: TrainConfig, history_path=None):
+    """Train through the entry point of the config's mode."""
+    run = danncr_train if config.mode == "danncr" else train
+    return run(dataset, config, history_path=history_path)
 
 
 def fresh_setup(seed: int = 0, n: int = 60, dropout: float = 0.1):
@@ -213,10 +220,11 @@ def test_step_b_raises_distance_after_factual_training():
 # ---------------------------------------------------------------------------
 # full runs
 
-def test_train_deterministic(bench_dataset, tmp_path):
-    config = quick_config()
-    r1 = train(bench_dataset, config, history_path=str(tmp_path / "h1.tsv"))
-    r2 = train(bench_dataset, config, history_path=str(tmp_path / "h2.tsv"))
+@pytest.mark.parametrize("mode", ["adbcr", "danncr"])
+def test_train_deterministic(bench_dataset, tmp_path, mode):
+    config = quick_config(mode=mode)
+    r1 = run_mode(bench_dataset, config, history_path=str(tmp_path / "h1.tsv"))
+    r2 = run_mode(bench_dataset, config, history_path=str(tmp_path / "h2.tsv"))
     assert [rec.criterion for rec in r1.history] == [rec.criterion for rec in r2.history]
     assert r1.best_epoch == r2.best_epoch
     for name in r1.model.params.names():
@@ -224,8 +232,9 @@ def test_train_deterministic(bench_dataset, tmp_path):
     assert (tmp_path / "h1.tsv").read_text() == (tmp_path / "h2.tsv").read_text()
 
 
-def test_train_best_is_history_min(bench_dataset):
-    result = train(bench_dataset, quick_config(max_epochs=15))
+@pytest.mark.parametrize("mode", ["adbcr", "danncr"])
+def test_train_best_is_history_min(bench_dataset, mode):
+    result = run_mode(bench_dataset, quick_config(mode=mode, max_epochs=15))
     criteria = [rec.criterion for rec in result.history]
     assert result.best_value == min(criteria)
     assert result.best_epoch == criteria.index(min(criteria)) + 1
@@ -242,11 +251,12 @@ def test_train_restored_model_reproduces_best(bench_dataset):
     assert abs(recomputed - result.best_value) < 1e-10
 
 
-def test_train_patience_stops_run():
+@pytest.mark.parametrize("mode", ["adbcr", "danncr"])
+def test_train_patience_stops_run(mode):
     """A criterion that never improves stops after 1 + patience epochs."""
     dataset = small_benchmark(seed=3)
-    config = quick_config(learning_rate=1e-20, patience=3, max_epochs=50)
-    result = train(dataset, config)
+    config = quick_config(mode=mode, learning_rate=1e-20, patience=3, max_epochs=50)
+    result = run_mode(dataset, config)
     assert result.epochs_run == 1 + 3
     assert result.best_epoch == 1
 
