@@ -10,10 +10,12 @@ scale and the returned weights are mapped back to the input scale. The
 a_tarnet ablation is a trainer mode, not a class here.
 
 DANNCR keeps the shared representation but pairs one outcome head per
-treatment with a two-logit domain discriminator. danncr_train() runs
-`adbcr.trainer.run_epochs` with three phases per batch: one prediction step
-(representation and heads on factual MSE), one discriminator step (cross
-entropy on the discriminator alone), and one confusion step
+treatment (its `ARMS`) with a two-logit domain discriminator (its extra
+stack). danncr_train() runs `adbcr.trainer.run_epochs` with three phases
+per batch, each ending in `adbcr.trainer.descend`: one prediction step
+(representation and heads on the factual loss of
+`adbcr.objectives.build_losses`, shared with adbcr), one discriminator step
+(cross entropy on the discriminator alone), and one confusion step
 (representation against the discriminator via a negated gradient).
 Selection uses factual validation MSE; the history's distance column holds
 the discriminator's validation cross entropy.
@@ -25,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import Adam, Tape, grads_for
+from .autodiff import Adam, Tape
 from .data import TRAIN, VAL, Dataset
 from .errors import ConfigError, DatasetError, DimensionError
-from .model import (CHECKPOINT_LOADERS, Network, canonical_fingerprint, check_arrays,
-                    write_checkpoint)
-from .objectives import BatchView
+from .model import CHECKPOINT_LOADERS, Network, check_arrays, header_field, write_checkpoint
+from .objectives import BatchView, build_losses, factual_term
 from .seeding import generator
-from .trainer import (EpochRecord, TrainConfig, TrainResult, _finite_scalar,
+from .trainer import (EpochRecord, TrainConfig, TrainResult, _finite_scalar, descend,
                       phase_optimizer, prepare_run, run_epochs)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
@@ -160,18 +161,14 @@ class LassoModel:
                       "b0": np.array([[self.intercept0]]),
                       "w1": self.weights1.reshape(-1, 1),
                       "b1": np.array([[self.intercept1]])}
-        extra = {
-            "config": config,
-            "fingerprint": canonical_fingerprint(config) if config is not None else None,
-            "validation_criterion": None,
-            "data_seed": data_seed,
-            "split_fractions": list(split_fractions) if split_fractions else None,
-        }
-        write_checkpoint(path, self.kind, arch, arrays, extra)
+        write_checkpoint(path, self.kind, arch, arrays, config=config, data_seed=data_seed,
+                         split_fractions=split_fractions)
 
 
-def _load_lasso(arch: dict, arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
-    model = LassoModel(arch["variant"], float(arch["alpha"]), int(arch["input_dim"]))
+def _load_lasso(arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
+    model = LassoModel(header_field(header, "arch.variant"),
+                       float(header_field(header, "arch.alpha")),
+                       int(header_field(header, "arch.input_dim")))
     d = model.input_dim
     if model.variant == "single":
         check_arrays(arrays, {"w": (d + 1, 1), "b": (1, 1)})
@@ -281,87 +278,58 @@ class DanncrModel(Network):
     """Shared representation, one outcome head per treatment, domain discriminator."""
 
     kind = "danncr"
-    STACKS = (("head.0", 1), ("head.1", 1), ("disc", 2))
-
-    def head_forward_graph(self, tape: Tape, t: int, h, training: bool = False, rng=None):
-        return self.stack_forward(tape, f"head.{t}", h, training, rng)
-
-    def disc_forward_graph(self, tape: Tape, h, training: bool = False, rng=None):
-        return self.stack_forward(tape, "disc", h, training, rng)
-
-    def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self._check_columns(x)
-        tape = Tape()
-        h = self.phi_forward(tape, tape.constant(self.scalers.standardize_x(x)))
-        y = [self.scalers.destandardize_y(
-            self.head_forward_graph(tape, t, h).data[:, 0]) for t in (0, 1)]
-        return y[0], y[1]
+    ARMS = (("head.0",), ("head.1",))
+    EXTRA_STACKS = (("disc", 2),)
 
 
 CHECKPOINT_LOADERS[DanncrModel.kind] = DanncrModel.load
 
 
-def _danncr_factual_graph(model: DanncrModel, batch: BatchView, tape: Tape,
-                          training: bool, rng) -> autodiff.Tensor:
-    h = model.phi_forward(tape, tape.constant(batch.x), training, rng)
-    loss = None
-    for t in (0, 1):
-        rows = np.flatnonzero(batch.t == t)
-        if rows.size == 0:
-            raise DatasetError(f"batch lacks treatment {t}")
-        out = model.head_forward_graph(tape, t, h, training, rng)
-        pred = autodiff.take_rows(tape, out, rows)
-        target = tape.constant(batch.y[rows].reshape(-1, 1))
-        term = autodiff.mse_loss(tape, pred, target)
-        loss = term if loss is None else autodiff.add(tape, loss, term)
-    return loss
-
-
-def _danncr_ce_graph(model: DanncrModel, batch: BatchView, tape: Tape,
-                     training: bool, rng) -> autodiff.Tensor:
-    h = model.phi_forward(tape, tape.constant(batch.x), training, rng)
-    logits = model.disc_forward_graph(tape, h, training, rng)
+def _danncr_ce_graph(model: DanncrModel, batch: BatchView, tape: Tape, rng) -> autodiff.Tensor:
+    """Training-mode discriminator cross entropy of the batch's treatments."""
+    h = model.phi_forward(tape, tape.constant(batch.x), True, rng)
+    logits = model.stack_forward(tape, "disc", h, True, rng)
     return autodiff.softmax_cross_entropy(tape, logits, batch.t)
 
 
 def danncr_step_predict(model: DanncrModel, batch: BatchView, opt: Adam, rng) -> float:
     """Representation and outcome heads follow the factual MSE."""
     tape = Tape()
-    loss = _danncr_factual_graph(model, batch, tape, True, rng)
-    value = _finite_scalar(loss, "factual loss in the danncr prediction step")
-    tape.backward(loss)
-    opt.step(grads_for(tape, opt.names()))
-    return value
+    loss, _ = build_losses(model, batch, tape, training=True, rng=rng, need_distance=False)
+    return descend(opt, tape, loss, "factual loss in the danncr prediction step")
 
 
 def danncr_step_discriminate(model: DanncrModel, batch: BatchView, opt: Adam, rng) -> float:
     """Discriminator alone follows the treatment cross entropy."""
     tape = Tape()
-    ce = _danncr_ce_graph(model, batch, tape, True, rng)
-    value = _finite_scalar(ce, "cross entropy in the danncr discriminator step")
-    tape.backward(ce)
-    opt.step(grads_for(tape, opt.names()))
-    return value
+    ce = _danncr_ce_graph(model, batch, tape, rng)
+    return descend(opt, tape, ce, "cross entropy in the danncr discriminator step")
 
 
 def danncr_step_confuse(model: DanncrModel, batch: BatchView, opt: Adam,
                         reversal_weight: float, rng) -> float:
-    """Representation climbs the discriminator's loss (negated-gradient flow)."""
+    """Representation climbs the discriminator's loss (negated-gradient flow).
+
+    Returns the cross entropy, not the scaled objective.
+    """
     tape = Tape()
-    ce = _danncr_ce_graph(model, batch, tape, True, rng)
+    ce = _danncr_ce_graph(model, batch, tape, rng)
     value = _finite_scalar(ce, "cross entropy in the danncr confusion step")
-    objective = autodiff.scale(tape, ce, -reversal_weight)
-    tape.backward(objective)
-    opt.step(grads_for(tape, opt.names()))
+    descend(opt, tape, autodiff.scale(tape, ce, -reversal_weight),
+            "reversed cross entropy in the danncr confusion step")
     return value
 
 
 def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
-    """Eval-mode factual MSE (the criterion) and discriminator cross entropy, full split."""
+    """Eval-mode factual MSE (the criterion) and discriminator cross entropy, full split.
+
+    One forward of the shared representation feeds the heads and the
+    discriminator.
+    """
     tape = Tape()
-    loss = _danncr_factual_graph(model, val_view, tape, False, None)
-    ce = _danncr_ce_graph(model, val_view, tape, False, None)
-    factual = float(loss.data[0, 0])
+    h, outs = model.forward_heads(tape, tape.constant(val_view.x))
+    factual = float(factual_term(tape, outs, val_view).data[0, 0])
+    ce = autodiff.softmax_cross_entropy(tape, model.stack_forward(tape, "disc", h), val_view.t)
     return EpochRecord(0, factual, float(ce.data[0, 0]), factual)
 
 

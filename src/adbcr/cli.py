@@ -474,6 +474,11 @@ def _add_net_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="Representation steps per batch")
     p.add_argument("--adversary-weight", dest="adversary_weight", type=float, default=None)
+    _add_run_flags(p)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The SEARCH_BASE_SPEC flags, which train and search both take."""
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--metric", type=str, default=None, choices=("l1", "squared"))
@@ -522,11 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-range", dest="learning_rate", type=parse_lr_range, default=None)
     p.add_argument("--k", type=parse_int_list, default=None)
     p.add_argument("--adversary-weight", dest="adversary_weight", type=parse_float_list, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--metric", type=str, default=None, choices=("l1", "squared"))
-    p.add_argument("--trailing-step-a", dest="trailing_step_a", type=parse_bool, default=None)
-    p.add_argument("--imbalance-weight", dest="imbalance_weight", type=float, default=None)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="Score a saved checkpoint on a dataset")

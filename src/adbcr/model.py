@@ -1,14 +1,13 @@
 """Networks over a shared representation, and the checkpoint container.
 
 `Network` maps standardized covariates through a shared stack of dense
-layers (linear, ELU, dropout) and feeds the result to the dense stacks a
-subclass declares, each initialized from its own stream so stacks start
-genuinely different. It owns the construction checks, the column check,
-`save`, and the `load` that rebuilds a network and checks every stored
-parameter's name and shape. `AdbcrModel` declares four scalar heads, two
-per treatment arm; its predictions average the pair for each arm and are
-de-standardized with scalers learned from the training split. The danncr
-contrast network (`adbcr.baselines.DanncrModel`) is the other subclass.
+layers (linear, ELU, dropout) and feeds the result to the outcome heads of
+each treatment arm that a subclass declares in `ARMS` (two per arm for
+`AdbcrModel`, one for `adbcr.baselines.DanncrModel`), plus any extra stacks.
+`forward_heads` runs the shared stack once, then each head once;
+predictions average each arm's heads and are de-standardized with scalers
+learned from the training split. `load` checks every header field it reads
+and every stored parameter's name and shape.
 
 The module also owns the checkpoint container used by every model kind in
 the package: a magic string, a format version, a canonical JSON header, and
@@ -110,13 +109,15 @@ def _check_layer_sizes(name: str, sizes) -> tuple[int, ...]:
 class Network:
     """Shared representation `phi` feeding the dense stacks a subclass declares.
 
-    STACKS lists (prefix, output width) in init order; every stack has the
-    head_layers hidden widths and a purely linear output layer, and draws
-    its initial weights from its own seed stream named after its prefix.
+    ARMS holds the scalar head prefixes of arm 0, then arm 1; EXTRA_STACKS
+    holds further (prefix, output width). Each stack, initialized in that
+    order from a seed stream named after its prefix, has the head_layers
+    hidden widths and a purely linear output layer.
     """
 
     kind: str
-    STACKS: tuple[tuple[str, int], ...]
+    ARMS: tuple[tuple[str, ...], tuple[str, ...]]
+    EXTRA_STACKS: tuple[tuple[str, int], ...] = ()
 
     def __init__(self, input_dim: int, shared_layers, head_layers,
                  dropout_p: float, seed: int):
@@ -133,7 +134,7 @@ class Network:
         self.params = ParamSet()
         init_dense(self.params, "phi", [self.input_dim, *self.shared_layers],
                    generator(seed, "init", "phi"))
-        for prefix, width in self.STACKS:
+        for prefix, width in [(p, 1) for arm in self.ARMS for p in arm] + list(self.EXTRA_STACKS):
             init_dense(self.params, prefix, [self.shared_layers[-1], *self.head_layers, width],
                        generator(seed, "init", prefix))
 
@@ -147,6 +148,25 @@ class Network:
                       rng: np.random.Generator | None = None) -> autodiff.Tensor:
         return dense_forward(tape, self.params, prefix, len(self.head_layers) + 1, h,
                              self.dropout_p, training, rng, final_plain=True)
+
+    def forward_heads(self, tape: Tape, x: autodiff.Tensor, training: bool = False,
+                      rng: np.random.Generator | None = None):
+        """(h, outs): the representation h of x, and outs[t][r] = head r of arm t on h.
+
+        Heads run once each in ARMS order, which fixes the dropout draws.
+        """
+        h = self.phi_forward(tape, x, training, rng)
+        return h, tuple(tuple(self.stack_forward(tape, prefix, h, training, rng)
+                              for prefix in arm) for arm in self.ARMS)
+
+    def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""
+        x = self._check_columns(x)
+        tape = Tape()
+        _, outs = self.forward_heads(tape, tape.constant(self.scalers.standardize_x(x)))
+        y0, y1 = (self.scalers.destandardize_y(np.mean([out.data[:, 0] for out in arm], axis=0))
+                  for arm in outs)
+        return y0, y1
 
     def _check_columns(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -166,24 +186,19 @@ class Network:
             "dropout_p": self.dropout_p,
             "seed": self.seed,
         }
-        extra = {
-            "scalers": _scalers_to_header(self.scalers),
-            "config": config,
-            "fingerprint": canonical_fingerprint(config) if config is not None else None,
-            "validation_criterion": validation_criterion,
-            "data_seed": data_seed,
-            "split_fractions": list(split_fractions) if split_fractions else None,
-        }
-        write_checkpoint(path, self.kind, arch, dict(self.params.items()), extra)
+        write_checkpoint(path, self.kind, arch, dict(self.params.items()),
+                         {"scalers": _scalers_to_header(self.scalers)},
+                         config=config, validation_criterion=validation_criterion,
+                         data_seed=data_seed, split_fractions=split_fractions)
 
     @classmethod
-    def load(cls, arch: dict, arrays: dict[str, np.ndarray], header: dict) -> "Network":
+    def load(cls, arrays: dict[str, np.ndarray], header: dict) -> "Network":
         """Rebuild a saved network; the arrays must match its architecture exactly."""
-        model = cls(arch["input_dim"], arch["shared_layers"], arch["head_layers"],
-                    arch["dropout_p"], arch["seed"])
+        model = cls(*(header_field(header, f"arch.{key}") for key in
+                      ("input_dim", "shared_layers", "head_layers", "dropout_p", "seed")))
         check_arrays(arrays, {name: a.shape for name, a in model.params.items()})
         model.params.restore(arrays)
-        model.scalers = scalers_from_header(header["scalers"])
+        model.scalers = scalers_from_header(header)
         return model
 
 
@@ -191,12 +206,7 @@ class AdbcrModel(Network):
     """Shared representation plus two outcome heads per treatment arm."""
 
     kind = "adbcr"
-    STACKS = tuple((f"head.{t}.{r}", 1) for t, r in HEAD_KEYS)
-
-    def head_forward_graph(self, tape: Tape, t: int, r: int, h: autodiff.Tensor,
-                           training: bool = False,
-                           rng: np.random.Generator | None = None) -> autodiff.Tensor:
-        return self.stack_forward(tape, f"head.{t}.{r}", h, training, rng)
+    ARMS = (("head.0.0", "head.0.1"), ("head.1.0", "head.1.1"))
 
     def forward_head(self, x: np.ndarray, t: int, r: int, training: bool = False,
                      rng: np.random.Generator | None = None) -> np.ndarray:
@@ -204,23 +214,8 @@ class AdbcrModel(Network):
         x = self._check_columns(x)
         tape = Tape()
         h = self.phi_forward(tape, tape.constant(x), training, rng)
-        out = self.head_forward_graph(tape, t, r, h, training, rng)
+        out = self.stack_forward(tape, self.ARMS[t][r], h, training, rng)
         return out.data.copy()
-
-    def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """De-standardized (y0, y1) predictions on raw covariates, eval mode.
-
-        Each arm's prediction averages its two heads.
-        """
-        x = self._check_columns(x)
-        tape = Tape()
-        h = self.phi_forward(tape, tape.constant(self.scalers.standardize_x(x)))
-        outs = {key: self.head_forward_graph(tape, *key, h) for key in HEAD_KEYS}
-        y = []
-        for t in (0, 1):
-            avg = 0.5 * (outs[(t, 0)].data[:, 0] + outs[(t, 1)].data[:, 0])
-            y.append(self.scalers.destandardize_y(avg))
-        return y[0], y[1]
 
 
 def _scalers_to_header(s: Scalers) -> dict:
@@ -233,11 +228,12 @@ def _scalers_to_header(s: Scalers) -> dict:
 
 
 def scalers_from_header(header: dict) -> Scalers:
+    """The scalers stored under a checkpoint header's "scalers" field."""
     return Scalers(
-        np.array([header["x_mean"]], dtype=np.float64),
-        np.array([header["x_std"]], dtype=np.float64),
-        float(header["y_mean"]),
-        float(header["y_std"]),
+        np.array([header_field(header, "scalers.x_mean")], dtype=np.float64),
+        np.array([header_field(header, "scalers.x_std")], dtype=np.float64),
+        float(header_field(header, "scalers.y_mean")),
+        float(header_field(header, "scalers.y_std")),
     )
 
 
@@ -248,19 +244,28 @@ def canonical_fingerprint(obj) -> str:
 
 
 def write_checkpoint(path: str, kind: str, arch: dict,
-                     arrays: dict[str, np.ndarray], extra: dict) -> None:
+                     arrays: dict[str, np.ndarray], extra: dict | None = None, *,
+                     config: dict | None = None,
+                     validation_criterion: float | None = None,
+                     data_seed: int | None = None,
+                     split_fractions: tuple[float, float, float] | None = None) -> None:
     """Write the shared checkpoint container atomically.
 
     Layout: magic, u32 version, u64 header length, canonical JSON header,
     then the parameter matrices as little-endian float64 blobs in header
-    order. The header carries no timestamps, so equal contents give equal
-    bytes.
+    order. The header holds the run metadata plus the kind's extra fields
+    and no timestamps, so equal contents give equal bytes.
     """
     header = {
         "kind": kind,
         "arch": arch,
         "params": [[name, list(a.shape)] for name, a in arrays.items()],
-        **extra,
+        "config": config,
+        "fingerprint": canonical_fingerprint(config) if config is not None else None,
+        "validation_criterion": validation_criterion,
+        "data_seed": data_seed,
+        "split_fractions": list(split_fractions) if split_fractions else None,
+        **(extra or {}),
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
@@ -284,7 +289,7 @@ def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
     """Read the container back as (kind, arch, arrays, header).
 
     A file that cannot be opened raises OSError unchanged; CheckpointError
-    is reserved for content defects.
+    is reserved for content defects, a missing header field among them.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -305,7 +310,7 @@ def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path!r} has a corrupt header: {e}") from e
     offset += header_len
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in header["params"]:
+    for name, shape in header_field(header, "params"):
         rows, cols = (int(s) for s in shape)
         nbytes = rows * cols * 8
         if len(blob) < offset + nbytes:
@@ -315,7 +320,19 @@ def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path!r} has {len(blob) - offset} trailing bytes")
-    return header["kind"], header["arch"], arrays, header
+    return header_field(header, "kind"), header_field(header, "arch"), arrays, header
+
+
+def header_field(header: dict, path: str):
+    """The header entry at a dotted path such as "arch.seed"; CheckpointError if missing."""
+    value = header
+    keys = path.split(".")
+    for depth, key in enumerate(keys, start=1):
+        if not isinstance(value, dict) or key not in value:
+            raise CheckpointError(
+                f"checkpoint header lacks the field {'.'.join(keys[:depth])!r}")
+        value = value[key]
+    return value
 
 
 def check_arrays(arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
@@ -331,7 +348,7 @@ def check_arrays(arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, .
 
 
 # Loader of each checkpoint kind; adbcr.baselines adds the lasso and danncr kinds.
-CHECKPOINT_LOADERS: dict[str, Callable[[dict, dict[str, np.ndarray], dict], object]] = {
+CHECKPOINT_LOADERS: dict[str, Callable[[dict[str, np.ndarray], dict], object]] = {
     AdbcrModel.kind: AdbcrModel.load}
 
 
@@ -340,12 +357,12 @@ def load_checkpoint(path: str) -> tuple[object, dict]:
 
     Dispatches on the checkpoint's kind.
     """
-    kind, arch, arrays, header = read_checkpoint(path)
+    kind, _, arrays, header = read_checkpoint(path)
     loader = CHECKPOINT_LOADERS.get(kind)
     if loader is None:
         raise CheckpointError(
             f"unknown checkpoint kind {kind!r}; known kinds: {sorted(CHECKPOINT_LOADERS)}")
-    return loader(arch, arrays, header), header
+    return loader(arrays, header), header
 
 
 def load_model(path: str):

@@ -1,11 +1,11 @@
 """Factual loss, discriminative distance, and the validation criterion.
 
-All three quantities share one graph builder that forwards the shared
-representation once over the batch (labeled rows stacked with any unlabeled
-rows) and every head once over all rows, then slices rows per term. Phases
-that skip a term therefore consume exactly the same dropout randomness as
-phases that build it, which is what makes ablation modes reduce to each
-other bit-for-bit.
+All three quantities share one graph builder that runs Network.forward_heads
+once over the batch (labeled rows stacked with any unlabeled rows), then
+slices rows per term. Phases that skip a term therefore consume exactly the
+same dropout randomness as phases that build it, which is what makes
+ablation modes reduce to each other bit-for-bit. The factual term serves
+every network kind; the distance needs two heads per arm.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tape, Tensor
 from .errors import BatchCompositionError, ConfigError, DimensionError
-from .model import HEAD_KEYS, AdbcrModel
+from .model import AdbcrModel, Network
 
 METRICS = ("l1", "squared")
 
@@ -64,72 +64,72 @@ def _check_metric(metric: str) -> None:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def build_losses(model: AdbcrModel, batch: BatchView, tape: Tape, *,
+def factual_term(tape: Tape, outs, batch: BatchView) -> Tensor:
+    """Sum over arms and heads (outs of forward_heads) of each head's MSE on its arm's rows."""
+    rows = [np.flatnonzero(batch.t == arm) for arm in (0, 1)]
+    if rows[0].size == 0 or rows[1].size == 0:
+        raise BatchCompositionError(
+            f"factual loss needs both treatments in the batch, got {rows[1].size} treated "
+            f"and {rows[0].size} control rows")
+    loss = None
+    for heads, arm_rows in zip(outs, rows):
+        for out in heads:
+            target = tape.constant(batch.y[arm_rows].reshape(-1, 1))
+            pred = autodiff.take_rows(tape, out, arm_rows)
+            term = autodiff.mse_loss(tape, pred, target)
+            loss = term if loss is None else autodiff.add(tape, loss, term)
+    return loss
+
+
+def build_losses(model: Network, batch: BatchView, tape: Tape, *,
                  training: bool = False, rng: np.random.Generator | None = None,
                  need_factual: bool = True, need_distance: bool = True,
                  metric: str = "l1") -> tuple[Tensor | None, Tensor | None]:
     """Build the factual loss and/or the discriminative distance on one tape.
 
     Returns (factual, distance); entries not asked for are None. The shared
-    representation and all four heads forward exactly once regardless of
+    representation and every head forward exactly once regardless of
     which terms are requested, so the dropout stream advances identically.
     """
     _check_metric(metric)
     n = batch.x.shape[0]
     m = batch.n_unlabeled
     stacked = np.vstack([batch.x, batch.unlabeled_x]) if m > 0 else batch.x
-    x_node = tape.constant(stacked)
-    h = model.phi_forward(tape, x_node, training, rng)
-    outs = {key: model.head_forward_graph(tape, *key, h, training, rng) for key in HEAD_KEYS}
-    idx = {arm: np.flatnonzero(batch.t == arm) for arm in (0, 1)}
-
-    factual = None
-    if need_factual:
-        if idx[0].size == 0 or idx[1].size == 0:
-            raise BatchCompositionError(
-                f"factual loss needs both treatments in the batch, got {idx[1].size} treated "
-                f"and {idx[0].size} control rows")
-        for t, r in HEAD_KEYS:
-            target = tape.constant(batch.y[idx[t]].reshape(-1, 1))
-            pred = autodiff.take_rows(tape, outs[(t, r)], idx[t])
-            term = autodiff.mse_loss(tape, pred, target)
-            factual = term if factual is None else autodiff.add(tape, factual, term)
+    _, outs = model.forward_heads(tape, tape.constant(stacked), training, rng)
+    factual = factual_term(tape, outs, batch) if need_factual else None
 
     distance = None
     if need_distance:
         global distance_graph_builds
         distance_graph_builds += 1
         point_metric = autodiff.l1_mean if metric == "l1" else autodiff.mse_loss
-        for t in (0, 1):
-            pool = idx[1 - t]
+        for t, (head_a, head_b) in enumerate(outs):
+            pool = np.flatnonzero(batch.t == 1 - t)
             if m > 0:
                 pool = np.concatenate([pool, n + np.arange(m)])
             if pool.size == 0:
                 raise BatchCompositionError(
                     f"distance pool for treatment {t} is empty: no rows with treatment {1 - t} "
                     "and no unlabeled rows")
-            a = autodiff.take_rows(tape, outs[(t, 0)], pool)
-            b = autodiff.take_rows(tape, outs[(t, 1)], pool)
+            a = autodiff.take_rows(tape, head_a, pool)
+            b = autodiff.take_rows(tape, head_b, pool)
             term = point_metric(tape, a, b)
             distance = term if distance is None else autodiff.add(tape, distance, term)
 
     return factual, distance
 
 
-def factual_loss(model: AdbcrModel, batch: BatchView, tape: Tape | None = None,
+def factual_loss(model: Network, batch: BatchView, tape: Tape | None = None,
                  training: bool = False, rng: np.random.Generator | None = None):
     """Sum over arms and heads of each head's MSE on its arm's rows.
 
     Without a tape: a plain eval-mode float. With one: the loss tensor on
     that tape, ready for backward.
     """
-    if tape is None:
-        local = Tape()
-        loss, _ = build_losses(model, batch, local, need_distance=False)
-        return float(loss.data[0, 0])
-    loss, _ = build_losses(model, batch, tape, training=training, rng=rng,
+    loss, _ = build_losses(model, batch, Tape() if tape is None else tape,
+                           training=training and tape is not None, rng=rng,
                            need_distance=False)
-    return loss
+    return float(loss.data[0, 0]) if tape is None else loss
 
 
 def discriminative_distance(model: AdbcrModel, batch: BatchView, metric: str = "l1",
@@ -140,13 +140,10 @@ def discriminative_distance(model: AdbcrModel, batch: BatchView, metric: str = "
     Each arm's head pair is evaluated on the rows of the opposite arm plus
     any unlabeled rows. Without a tape: an eval-mode float.
     """
-    if tape is None:
-        local = Tape()
-        _, dist = build_losses(model, batch, local, need_factual=False, metric=metric)
-        return float(dist.data[0, 0])
-    _, dist = build_losses(model, batch, tape, training=training, rng=rng,
+    _, dist = build_losses(model, batch, Tape() if tape is None else tape,
+                           training=training and tape is not None, rng=rng,
                            need_factual=False, metric=metric)
-    return dist
+    return float(dist.data[0, 0]) if tape is None else dist
 
 
 def validation_criterion(model: AdbcrModel, batch: BatchView, metric: str = "l1",

@@ -3,7 +3,8 @@
 A mode is a list of per-batch phases plus a validation function; run_epochs()
 runs any such list and owns batching, the history file, early stopping and
 the best-epoch snapshot. Each phase owns its own Adam instance, so freezes
-hold structurally: a phase's optimizer never sees the frozen tensors.
+hold structurally: a phase's optimizer never sees the frozen tensors. Each
+phase builds its objective on a fresh tape and ends in descend().
 
 train() builds the adversarial modes' phases: step_A (all parameters follow
 the factual loss), step_B (heads follow factual loss minus the weighted
@@ -165,16 +166,24 @@ def _finite_scalar(value, what: str) -> float:
     return v
 
 
+def descend(opt: Adam, tape: Tape, objective: autodiff.Tensor, what: str) -> float:
+    """One Adam step of opt's parameters down a finite objective; returns its value.
+
+    A non-finite objective raises TrainingError naming `what`.
+    """
+    value = _finite_scalar(objective, what)
+    tape.backward(objective)
+    opt.step(grads_for(tape, opt.names()))
+    return value
+
+
 def step_A(model: AdbcrModel, batch: BatchView, opt: Adam,
            rng: np.random.Generator) -> float:
     """One Adam step of every parameter on the factual loss."""
     tape = Tape()
     loss, _ = build_losses(model, batch, tape, training=True, rng=rng,
                            need_distance=False)
-    value = _finite_scalar(loss, "factual loss in step_A")
-    tape.backward(loss)
-    opt.step(grads_for(tape, opt.names()))
-    return value
+    return descend(opt, tape, loss, "factual loss in step_A")
 
 
 def step_B(model: AdbcrModel, batch: BatchView, opt: Adam, adversary_weight: float,
@@ -194,10 +203,7 @@ def step_B(model: AdbcrModel, batch: BatchView, opt: Adam, adversary_weight: flo
                                   metric=metric)
         _finite_scalar(dist, "distance in step_B")
         objective = autodiff.sub(tape, loss, autodiff.scale(tape, dist, adversary_weight))
-    value = _finite_scalar(objective, "objective in step_B")
-    tape.backward(objective)
-    opt.step(grads_for(tape, opt.names()))
-    return value
+    return descend(opt, tape, objective, "objective in step_B")
 
 
 def step_C(model: AdbcrModel, batch: BatchView, opt: Adam, k: int,
@@ -212,9 +218,7 @@ def step_C(model: AdbcrModel, batch: BatchView, opt: Adam, k: int,
         tape = Tape()
         _, dist = build_losses(model, batch, tape, training=True, rng=rng,
                                need_factual=False, metric=metric)
-        value = _finite_scalar(dist, "distance in step_C")
-        tape.backward(dist)
-        opt.step(grads_for(tape, opt.names()))
+        value = descend(opt, tape, dist, "distance in step_C")
     return value
 
 

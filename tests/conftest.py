@@ -1,8 +1,9 @@
-"""Shared helpers: finite-difference oracles and small benchmark fixtures."""
+"""Shared helpers: finite-difference oracles, small benchmark fixtures, checkpoint edits."""
 import numpy as np
 import pytest
 
 from adbcr import data
+from adbcr.model import read_checkpoint, write_checkpoint
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -41,3 +42,12 @@ def small_benchmark(seed: int = 0, n: int = 160, het: float = 1.0) -> data.Datas
 @pytest.fixture(scope="module")
 def bench_dataset() -> data.Dataset:
     return small_benchmark()
+
+
+def rewrite_without(path: str, field: str) -> None:
+    """Rewrite a checkpoint with its header field at the dotted path removed."""
+    kind, arch, arrays, header = read_checkpoint(path)
+    extra = {k: v for k, v in header.items() if k not in ("kind", "arch", "params")}
+    section, _, key = field.rpartition(".")
+    del (arch if section == "arch" else extra)[key]
+    write_checkpoint(path, kind, arch, arrays, extra)

@@ -2,16 +2,16 @@
 import numpy as np
 import pytest
 
-from adbcr import data
+from adbcr import autodiff, data
 from adbcr.autodiff import Adam, Tape
 from adbcr.baselines import (DEFAULT_ALPHA_GRID, DanncrModel, coordinate_descent,
                              danncr_step_confuse, danncr_step_discriminate,
-                             danncr_step_predict, danncr_train, fit_lasso,
+                             danncr_step_predict, danncr_train, danncr_validation, fit_lasso,
                              fit_lasso_on_dataset, lasso_cate, lasso_fit,
                              lasso_objective, select_alpha, soft_threshold)
 from adbcr.errors import ConfigError, DatasetError
 from adbcr.evaluation import pehe
-from adbcr.model import load_model
+from adbcr.model import Network, load_model
 from adbcr.objectives import BatchView
 from adbcr.seeding import generator
 from adbcr.trainer import TrainConfig
@@ -301,9 +301,34 @@ def test_danncr_discriminator_learns_separable_treatments():
         danncr_step_discriminate(model, batch, opt, drop)
     tape = Tape()
     h = model.phi_forward(tape, tape.constant(batch.x))
-    logits = model.disc_forward_graph(tape, h).data
+    logits = model.stack_forward(tape, "disc", h).data
     accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.t))
     assert accuracy > 0.95
+
+
+def test_danncr_validation_forwards_phi_once(monkeypatch):
+    """One shared forward feeds heads and discriminator; values equal two separate forwards."""
+    batch = separable_batch(5, n=60)
+    model = DanncrModel(3, (8, 7), (6,), dropout_p=0.3, seed=5)
+    tape = Tape()
+    factual = None
+    for t in (0, 1):
+        h = model.phi_forward(tape, tape.constant(batch.x))
+        rows = np.flatnonzero(batch.t == t)
+        pred = autodiff.take_rows(tape, model.stack_forward(tape, f"head.{t}", h), rows)
+        term = autodiff.mse_loss(tape, pred, tape.constant(batch.y[rows].reshape(-1, 1)))
+        factual = term if factual is None else autodiff.add(tape, factual, term)
+    h = model.phi_forward(tape, tape.constant(batch.x))
+    ce = autodiff.softmax_cross_entropy(tape, model.stack_forward(tape, "disc", h), batch.t)
+
+    calls = []
+    phi_forward = Network.phi_forward
+    monkeypatch.setattr(Network, "phi_forward",
+                        lambda self, *args, **kw: calls.append(1) or phi_forward(self, *args, **kw))
+    record = danncr_validation(model, batch)
+    assert len(calls) == 1
+    assert record.factual == record.criterion == float(factual.data[0, 0])
+    assert record.distance == float(ce.data[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from adbcr import cli, data
 from adbcr.model import load_model
 
+from conftest import rewrite_without
+
 
 def run(argv) -> int:
     return cli.main([str(a) for a in argv])
@@ -241,6 +243,17 @@ def test_eval_missing_checkpoint_is_runtime_error(benchmark_csv, tmp_path):
                 "--data", benchmark_csv, "--out", tmp_path / "e"]) == 1
 
 
+def test_eval_checkpoint_lacking_header_field_is_usage_error(benchmark_csv, tmp_path, capsys):
+    train_out = tmp_path / "t"
+    assert run(["train", "--data", benchmark_csv, "--out", train_out,
+                "--mode", "s-lasso", "--alpha", "0.1"]) == 0
+    rewrite_without(str(train_out / "model.ckpt"), "arch.variant")
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", train_out / "model.ckpt",
+                "--data", benchmark_csv, "--out", tmp_path / "e"]) == 2
+    assert "'arch.variant'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # parser basics
 
@@ -256,3 +269,17 @@ def test_unknown_mode_is_usage_error(benchmark_csv, tmp_path):
         run(["train", "--data", benchmark_csv, "--out", tmp_path / "t",
              "--mode", "mystery"])
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value, dest, parsed", [
+    ("--patience", "4", "patience", 4),
+    ("--max-epochs", "7", "max_epochs", 7),
+    ("--metric", "squared", "metric", "squared"),
+    ("--trailing-step-a", "false", "trailing_step_a", False),
+    ("--imbalance-weight", "0.5", "imbalance_weight", 0.5),
+])
+def test_train_and_search_share_run_flags(flag, value, dest, parsed):
+    parser = cli.build_parser()
+    for command in ("train", "search"):
+        args = parser.parse_args([command, "--out", "o", "--data", "d.csv", flag, value])
+        assert getattr(args, dest) == parsed

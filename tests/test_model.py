@@ -1,5 +1,6 @@
 """Network construction, prediction semantics, scalers, and checkpoints."""
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
                          read_checkpoint, write_checkpoint)
+
+from conftest import rewrite_without
 
 
 def tiny_model(seed: int = 0, d: int = 3) -> AdbcrModel:
@@ -262,6 +265,17 @@ def test_checkpoint_arrays_must_match_architecture(tmp_path, kind, defect):
     extra = {k: v for k, v in header.items() if k not in ("kind", "arch", "params")}
     write_checkpoint(path, kind, arch, arrays, extra)
     with pytest.raises(CheckpointError, match=name):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind, field",
+                         [("adbcr", "scalers"), ("adbcr", "arch.seed"), ("lasso", "arch.variant")])
+def test_checkpoint_header_field_required(tmp_path, kind, field):
+    """A header that lacks a field the loader reads fails with CheckpointError naming it."""
+    path = str(tmp_path / "m.ckpt")
+    saved_kind(kind, path)
+    rewrite_without(path, field)
+    with pytest.raises(CheckpointError, match=re.escape(repr(field))):
         load_model(path)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from adbcr import objectives
 from adbcr.autodiff import Tape
+from adbcr.baselines import DanncrModel
 from adbcr.errors import BatchCompositionError, ConfigError, DimensionError
 from adbcr.model import HEAD_KEYS, AdbcrModel
 from adbcr.objectives import (BatchView, build_losses, discriminative_distance,
@@ -49,15 +50,22 @@ def test_factual_four_unit_errors():
     assert factual_loss(model, batch) == 4.0
 
 
-def test_factual_compositional_oracle():
-    """Equals four per-head MSE terms recomputed via forward_head."""
-    model = AdbcrModel(3, (5, 4), (3,), dropout_p=0.0, seed=2)
+@pytest.mark.parametrize("network, arms", [
+    (AdbcrModel, (("head.0.0", "head.0.1"), ("head.1.0", "head.1.1"))),
+    (DanncrModel, (("head.0",), ("head.1",))),
+], ids=["adbcr", "danncr"])
+def test_factual_compositional_oracle(network, arms):
+    """Equals the per-head MSE terms of every arm, recomputed via stack_forward."""
+    model = network(3, (5, 4), (3,), dropout_p=0.0, seed=2)
     batch = random_batch(7, n=12)
     expect = 0.0
-    for t, r in HEAD_KEYS:
+    for t, heads in enumerate(arms):
         rows = np.flatnonzero(batch.t == t)
-        pred = model.forward_head(batch.x[rows], t, r)[:, 0]
-        expect += np.mean((pred - batch.y[rows]) ** 2)
+        for prefix in heads:
+            tape = Tape()
+            h = model.phi_forward(tape, tape.constant(batch.x[rows]))
+            pred = model.stack_forward(tape, prefix, h).data[:, 0]
+            expect += np.mean((pred - batch.y[rows]) ** 2)
     np.testing.assert_allclose(factual_loss(model, batch), expect, rtol=1e-12)
 
 
