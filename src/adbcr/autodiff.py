@@ -5,8 +5,15 @@ appends the result to a tape, so creation order is already a topological
 order and the backward sweep is a single reverse iteration. Every node
 carries a vector-Jacobian closure that accumulates into its parents'
 gradient buffers; nodes with several consumers therefore sum contributions
-instead of overwriting them, and nodes the root never reaches keep the zero
-gradient they were initialized with.
+instead of overwriting them.
+
+Backward differentiates only with respect to the parameters it is asked
+for. A forward sweep first marks the nodes that depend on one of them;
+only marked nodes receive gradients, each buffer is allocated by its first
+contribution, and a vjp skips every parent that is not marked (a vjp only
+runs on a marked node, so the parent of a one-input op is always marked).
+Constants, and nodes that depend only on other parameters, end with no
+buffer at all. A wanted parameter the root never reaches ends with zeros.
 
 The op set is exactly what fully-connected networks with ELU activations,
 inverted dropout, mean losses, and row slicing need. Everything is float64:
@@ -32,7 +39,7 @@ def _as_matrix(value) -> np.ndarray:
 class Tensor:
     """One tape node: a value, its parents, and the vjp that feeds them."""
 
-    __slots__ = ("data", "grad", "parents", "vjp", "index")
+    __slots__ = ("data", "grad", "parents", "vjp", "index", "needs_grad")
 
     def __init__(self, data: np.ndarray, parents: tuple = (), vjp: Callable | None = None):
         self.data = data
@@ -40,6 +47,7 @@ class Tensor:
         self.parents = parents
         self.vjp = vjp
         self.index = -1
+        self.needs_grad = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -70,19 +78,42 @@ class Tape:
             self.params[name] = node
         return node
 
-    def backward(self, root: Tensor) -> None:
-        """Accumulate d(root)/d(node) into every node's grad buffer.
+    def backward(self, root: Tensor, wrt: Iterable[str] | None = None) -> None:
+        """Set each wanted parameter's grad to d(root)/d(parameter).
 
-        The root must be scalar (1x1). Unreached nodes end with zero grads.
+        wrt names the wanted parameters; None wants every parameter on the
+        tape. The root must be scalar (1x1) and its grad is 1. Nodes between
+        the root and a wanted parameter hold their gradients afterwards; every
+        other node's grad is None, except a wanted parameter the root never
+        reaches, which gets zeros.
         """
         if root.shape != (1, 1):
             raise DimensionError(f"backward root must be 1x1, got {root.shape}")
+        wanted = list(self.params.values()) if wrt is None else [self.params[n] for n in wrt]
+        wanted_ids = {id(node) for node in wanted}
         for node in self._nodes:
-            node.grad = np.zeros_like(node.data)
-        root.grad[0, 0] = 1.0
-        for node in reversed(self._nodes):
-            if node.vjp is not None and node.grad.any():
-                node.vjp(node.grad)
+            node.grad = None
+            node.needs_grad = id(node) in wanted_ids or any(p.needs_grad for p in node.parents)
+        root.grad = np.ones((1, 1))
+        if root.needs_grad:
+            for node in reversed(self._nodes[:root.index + 1]):
+                if node.grad is not None and node.vjp is not None:
+                    node.vjp(node.grad)
+        for node in wanted:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+
+
+def _accumulate(node: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add the contribution g into node.grad, allocating it on first use.
+
+    A fresh g becomes the buffer itself; a shared g (one the caller or
+    another node still holds) is copied first.
+    """
+    if node.grad is None:
+        node.grad = g.copy() if shared else g
+    else:
+        node.grad += g
 
 
 def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -91,8 +122,10 @@ def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g: np.ndarray) -> None:
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if a.needs_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.needs_grad:
+            _accumulate(b, a.data.T @ g)
 
     return tape._record(Tensor(out, (a, b), vjp))
 
@@ -103,15 +136,19 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
 
         def vjp(g: np.ndarray) -> None:
-            a.grad += g
-            b.grad += g
+            if a.needs_grad:
+                _accumulate(a, g, shared=True)
+            if b.needs_grad:
+                _accumulate(b, g, shared=True)
 
     elif b.shape == (1, a.shape[1]):
         out = a.data + b.data
 
         def vjp(g: np.ndarray) -> None:
-            a.grad += g
-            b.grad += g.sum(axis=0, keepdims=True)
+            if a.needs_grad:
+                _accumulate(a, g, shared=True)
+            if b.needs_grad:
+                _accumulate(b, g.sum(axis=0, keepdims=True))
 
     else:
         raise DimensionError(f"add shapes {a.shape} and {b.shape} do not align")
@@ -124,8 +161,10 @@ def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def vjp(g: np.ndarray) -> None:
-        a.grad += g
-        b.grad -= g
+        if a.needs_grad:
+            _accumulate(a, g, shared=True)
+        if b.needs_grad:
+            _accumulate(b, -g)
 
     return tape._record(Tensor(out, (a, b), vjp))
 
@@ -136,19 +175,22 @@ def scale(tape: Tape, a: Tensor, factor: float) -> Tensor:
     out = a.data * c
 
     def vjp(g: np.ndarray) -> None:
-        a.grad += g * c
+        _accumulate(a, g * c)
 
     return tape._record(Tensor(out, (a,), vjp))
 
 
 def elu(tape: Tape, x: Tensor) -> Tensor:
-    """x for x > 0, exp(x) - 1 otherwise; C1 at the joint."""
-    neg = np.minimum(x.data, 0.0)
-    out = np.where(x.data > 0.0, x.data, np.expm1(neg))
-    deriv = np.where(x.data > 0.0, 1.0, np.exp(neg))
+    """x for x > 0, exp(x) - 1 otherwise; C1 at the joint.
+
+    One pass without a branch mask: max(x, 0) + expm1(min(x, 0)). The
+    derivative exp(min(x, 0)) is exactly 1 for x > 0 and is only computed
+    when the vjp runs.
+    """
+    out = np.maximum(x.data, 0.0) + np.expm1(np.minimum(x.data, 0.0))
 
     def vjp(g: np.ndarray) -> None:
-        x.grad += g * deriv
+        _accumulate(x, g * np.exp(np.minimum(x.data, 0.0)))
 
     return tape._record(Tensor(out, (x,), vjp))
 
@@ -168,7 +210,7 @@ def dropout(tape: Tape, x: Tensor, p: float, training: bool, rng: np.random.Gene
     out = x.data * keep
 
     def vjp(g: np.ndarray) -> None:
-        x.grad += g * keep
+        _accumulate(x, g * keep)
 
     return tape._record(Tensor(out, (x,), vjp))
 
@@ -181,6 +223,8 @@ def take_rows(tape: Tape, x: Tensor, rows) -> Tensor:
     out = x.data[idx]
 
     def vjp(g: np.ndarray) -> None:
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
         np.add.at(x.grad, idx, g)
 
     return tape._record(Tensor(out, (x,), vjp))
@@ -198,8 +242,10 @@ def mse_loss(tape: Tape, pred: Tensor, target: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray) -> None:
         d = (2.0 * g[0, 0] / n) * diff
-        pred.grad += d
-        target.grad -= d
+        if pred.needs_grad:
+            _accumulate(pred, d)
+        if target.needs_grad:
+            _accumulate(target, -d)
 
     return tape._record(Tensor(out, (pred, target), vjp))
 
@@ -217,8 +263,10 @@ def l1_mean(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray) -> None:
         d = (g[0, 0] / n) * sign
-        a.grad += d
-        b.grad -= d
+        if a.needs_grad:
+            _accumulate(a, d)
+        if b.needs_grad:
+            _accumulate(b, -d)
 
     return tape._record(Tensor(out, (a, b), vjp))
 
@@ -243,7 +291,7 @@ def softmax_cross_entropy(tape: Tape, logits: Tensor, labels) -> Tensor:
     def vjp(g: np.ndarray) -> None:
         d = prob.copy()
         d[np.arange(n), y] -= 1.0
-        logits.grad += (g[0, 0] / n) * d
+        _accumulate(logits, (g[0, 0] / n) * d)
 
     return tape._record(Tensor(out, (logits,), vjp))
 
@@ -291,12 +339,19 @@ class ParamSet:
         return sum(v.size for v in self._arrays.values())
 
 
+def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """The arrays' entries end to end in one new 1-d buffer."""
+    return np.concatenate([a.ravel() for a in arrays] or [np.zeros(0)])
+
+
 class Adam:
     """Adam with bias correction; weight decay enters as an l2 term in the gradient.
 
     beta1 = 0.9, beta2 = 0.999, eps = 1e-8. One instance owns the first and
     second moments (and shared step count) for exactly the parameters it was
-    constructed with and updates those arrays in place.
+    constructed with and updates those arrays in place. The moments live in
+    one flat buffer holding every parameter's entries in construction order,
+    so a step is a handful of whole-buffer operations.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -310,8 +365,10 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._m = {k: np.zeros_like(v) for k, v in self._params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in self._params.items()}
+        offsets = np.cumsum([0] + [p.size for p in self._params.values()])
+        self._slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        self._m = np.zeros(offsets[-1])
+        self._v = np.zeros(offsets[-1])
         self.step_count = 0
 
     def names(self) -> list[str]:
@@ -319,25 +376,32 @@ class Adam:
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update from a full set of gradients for this optimizer's parameters."""
-        for name in self._params:
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        g = _flat(grads[name] for name in self._params)
+        if not np.isfinite(g).all():
+            bad = next(name for name, sl in zip(self._params, self._slices)
+                       if not np.isfinite(g[sl]).all())
+            raise TrainingError(f"non-finite gradient for parameter {bad!r}")
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for name, p in self._params.items():
-            g = grads[name]
-            if self.weight_decay != 0.0:
-                g = g + self.weight_decay * p
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        if self.weight_decay != 0.0:
+            g += self.weight_decay * _flat(self._params.values())
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        g *= g
+        g *= 1.0 - self.beta2
+        v += g
+        update = m / c1
+        update *= self.lr
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        for p, sl in zip(self._params.values(), self._slices):
+            p -= update[sl].reshape(p.shape)
 
 
 def grads_for(tape: Tape, names: Iterable[str]) -> dict[str, np.ndarray]:

@@ -30,13 +30,15 @@ from . import autodiff
 from .autodiff import Adam, Tape
 from .data import TRAIN, VAL, Dataset
 from .errors import ConfigError, DatasetError, DimensionError
-from .model import CHECKPOINT_LOADERS, Network, check_arrays, header_field, write_checkpoint
+from .model import (CHECKPOINT_LOADERS, Network, check_arrays, header_field, valid_int,
+                    valid_real, write_checkpoint)
 from .objectives import BatchView, build_losses, factual_term
 from .seeding import generator
 from .trainer import (EpochRecord, TrainConfig, TrainResult, _finite_scalar, descend,
                       phase_optimizer, prepare_run, run_epochs)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+LASSO_VARIANTS = ("single", "per_treatment")
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
 
@@ -166,9 +168,10 @@ class LassoModel:
 
 
 def _load_lasso(arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
-    model = LassoModel(header_field(header, "arch.variant"),
-                       float(header_field(header, "arch.alpha")),
-                       int(header_field(header, "arch.input_dim")))
+    model = LassoModel(header_field(header, "arch.variant", LASSO_VARIANTS.__contains__),
+                       float(header_field(header, "arch.alpha",
+                                          lambda v: valid_real(v) and v >= 0.0)),
+                       header_field(header, "arch.input_dim", lambda v: valid_int(v, 1)))
     d = model.input_dim
     if model.variant == "single":
         check_arrays(arrays, {"w": (d + 1, 1), "b": (1, 1)})
@@ -247,8 +250,8 @@ def fit_lasso(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
               grid=DEFAULT_ALPHA_GRID, seed: int = 0,
               alpha: float | None = None) -> LassoModel:
     """Fit either variant, cross-validating alpha unless one is given."""
-    if variant not in ("single", "per_treatment"):
-        raise ConfigError(f"variant must be 'single' or 'per_treatment', got {variant!r}")
+    if variant not in LASSO_VARIANTS:
+        raise ConfigError(f"variant must be one of {LASSO_VARIANTS}, got {variant!r}")
     if alpha is None:
         alpha = select_alpha(x, t, y, variant, grid, seed)
     model = LassoModel(variant, float(alpha), x.shape[1])

@@ -27,6 +27,10 @@ from .errors import ConfigError, DimensionError, DomainError, SearchError, Train
 from .seeding import generator
 from .trainer import TrainConfig, TrainResult, train
 
+# Byte budget of nn_pehe's largest temporary, the query-block x opposite-arm
+# x covariate difference tensor; memory stays flat in the number of rows.
+NN_BLOCK_BYTES = 8 * 2 ** 20
+
 
 def _aligned(tau_true, tau_hat) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(tau_true, dtype=np.float64).reshape(-1)
@@ -50,11 +54,30 @@ def ate_error(tau_true, tau_hat) -> float:
     return float(abs(a.mean() - b.mean()))
 
 
+def _nearest(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Index of each query row's nearest pool row, the lowest on ties.
+
+    Query rows go in blocks through one difference buffer of at most
+    NN_BLOCK_BYTES (or one query row, if a single row needs more).
+    """
+    n = queries.shape[0]
+    block = min(n, max(1, NN_BLOCK_BYTES // max(1, pool.nbytes)))
+    buffer = np.empty((block, *pool.shape))
+    nearest = np.empty(n, dtype=np.intp)
+    for start in range(0, n, block):
+        diff = buffer[:min(block, n - start)]
+        np.subtract(queries[start:start + block, None, :], pool, out=diff)
+        diff *= diff
+        nearest[start:start + block] = np.argmin(diff.sum(axis=2), axis=1)
+    return nearest
+
+
 def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float:
     """Effect error against nearest-neighbour-imputed counterfactual outcomes.
 
     Distances are Euclidean on covariates standardized over the given rows;
-    ties break toward the lowest row index.
+    ties break toward the lowest row index. Memory stays within about
+    NN_BLOCK_BYTES whatever the number of rows.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t)
@@ -73,9 +96,7 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float:
     z = (x - mean) / sd
     imputed = np.empty(n)
     for rows, opposite in ((arm1, arm0), (arm0, arm1)):
-        diff = z[rows][:, None, :] - z[opposite][None, :, :]
-        nearest = np.argmin((diff * diff).sum(axis=2), axis=1)
-        imputed[rows] = y[opposite[nearest]]
+        imputed[rows] = y[opposite[_nearest(z[rows], z[opposite])]]
     tau_tilde = np.where(t == 1, y - imputed, imputed - y)
     return float(np.mean((tau_tilde - tau) ** 2))
 

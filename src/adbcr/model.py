@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass
 from typing import Callable
@@ -194,11 +196,11 @@ class Network:
     @classmethod
     def load(cls, arrays: dict[str, np.ndarray], header: dict) -> "Network":
         """Rebuild a saved network; the arrays must match its architecture exactly."""
-        model = cls(*(header_field(header, f"arch.{key}") for key in
-                      ("input_dim", "shared_layers", "head_layers", "dropout_p", "seed")))
+        model = cls(*(header_field(header, f"arch.{key}", valid)
+                      for key, valid in NETWORK_ARCH_FIELDS.items()))
         check_arrays(arrays, {name: a.shape for name, a in model.params.items()})
         model.params.restore(arrays)
-        model.scalers = scalers_from_header(header)
+        model.scalers = scalers_from_header(header, model.input_dim)
         return model
 
 
@@ -227,14 +229,18 @@ def _scalers_to_header(s: Scalers) -> dict:
     }
 
 
-def scalers_from_header(header: dict) -> Scalers:
-    """The scalers stored under a checkpoint header's "scalers" field."""
-    return Scalers(
-        np.array([header_field(header, "scalers.x_mean")], dtype=np.float64),
-        np.array([header_field(header, "scalers.x_std")], dtype=np.float64),
-        float(header_field(header, "scalers.y_mean")),
-        float(header_field(header, "scalers.y_std")),
-    )
+def scalers_from_header(header: dict, input_dim: int) -> Scalers:
+    """The scalers stored under a checkpoint header's "scalers" field, for input_dim covariates."""
+    def spread(v) -> bool:
+        return valid_real(v) and v > 0.0
+
+    def row(key: str, item) -> np.ndarray:
+        values = header_field(header, f"scalers.{key}", lambda v: valid_list(v, item, input_dim))
+        return np.array([values], dtype=np.float64)
+
+    return Scalers(row("x_mean", valid_real), row("x_std", spread),
+                   float(header_field(header, "scalers.y_mean", valid_real)),
+                   float(header_field(header, "scalers.y_std", spread)))
 
 
 def canonical_fingerprint(obj) -> str:
@@ -310,8 +316,7 @@ def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path!r} has a corrupt header: {e}") from e
     offset += header_len
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in header_field(header, "params"):
-        rows, cols = (int(s) for s in shape)
+    for name, (rows, cols) in header_field(header, "params", _valid_param_list):
         nbytes = rows * cols * 8
         if len(blob) < offset + nbytes:
             raise CheckpointError(f"{path!r} is truncated inside parameter {name!r}")
@@ -320,11 +325,16 @@ def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path!r} has {len(blob) - offset} trailing bytes")
-    return header_field(header, "kind"), header_field(header, "arch"), arrays, header
+    return (header_field(header, "kind", lambda v: isinstance(v, str)),
+            header_field(header, "arch", lambda v: isinstance(v, dict)), arrays, header)
 
 
-def header_field(header: dict, path: str):
-    """The header entry at a dotted path such as "arch.seed"; CheckpointError if missing."""
+def header_field(header: dict, path: str, valid: Callable[[object], bool] | None = None):
+    """The header entry at a dotted path such as "arch.seed".
+
+    CheckpointError, naming the field, if the entry is missing or if it
+    fails the predicate valid.
+    """
     value = header
     keys = path.split(".")
     for depth, key in enumerate(keys, start=1):
@@ -332,7 +342,50 @@ def header_field(header: dict, path: str):
             raise CheckpointError(
                 f"checkpoint header lacks the field {'.'.join(keys[:depth])!r}")
         value = value[key]
+    if valid is not None and not valid(value):
+        raise CheckpointError(
+            f"checkpoint header field {path!r} has the invalid value {reprlib.repr(value)}")
     return value
+
+
+def valid_int(value, low: int = 0) -> bool:
+    """A JSON integer (not a boolean) of at least low."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def valid_real(value) -> bool:
+    """A finite JSON number (not a boolean)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def valid_list(value, item: Callable[[object], bool], length: int | None = None) -> bool:
+    """A non-empty JSON list of entries that pass item, of the given length if any."""
+    return (isinstance(value, list) and len(value) > 0
+            and (length is None or len(value) == length) and all(item(v) for v in value))
+
+
+def _valid_param_list(value) -> bool:
+    """A JSON list of [name, [rows, cols]] entries."""
+    return isinstance(value, list) and all(
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and len(entry[1]) == 2
+        and all(valid_int(size) for size in entry[1])
+        for entry in value)
+
+
+def _widths(value) -> bool:
+    return valid_list(value, lambda w: valid_int(w, 1))
+
+
+# The arch fields of every network kind, in constructor order, with their checks.
+NETWORK_ARCH_FIELDS: dict[str, Callable[[object], bool]] = {
+    "input_dim": lambda v: valid_int(v, 1),
+    "shared_layers": _widths,
+    "head_layers": _widths,
+    "dropout_p": lambda v: valid_real(v) and 0.0 <= v < 1.0,
+    "seed": valid_int,
+}
 
 
 def check_arrays(arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:

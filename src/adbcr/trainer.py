@@ -169,10 +169,12 @@ def _finite_scalar(value, what: str) -> float:
 def descend(opt: Adam, tape: Tape, objective: autodiff.Tensor, what: str) -> float:
     """One Adam step of opt's parameters down a finite objective; returns its value.
 
-    A non-finite objective raises TrainingError naming `what`.
+    Backward differentiates only opt's parameters, so a phase that freezes
+    the trunk or the heads never computes their gradients. A non-finite
+    objective raises TrainingError naming `what`.
     """
     value = _finite_scalar(objective, what)
-    tape.backward(objective)
+    tape.backward(objective, opt.names())
     opt.step(grads_for(tape, opt.names()))
     return value
 

@@ -44,10 +44,23 @@ def bench_dataset() -> data.Dataset:
     return small_benchmark()
 
 
+def _rewrite_header(path: str, field: str, edit) -> None:
+    """Rewrite a checkpoint after edit(section, key) changes the header field at a dotted path."""
+    kind, _, arrays, header = read_checkpoint(path)
+    fields = {k: v for k, v in header.items() if k not in ("kind", "params")}
+    *sections, key = field.split(".")
+    section = fields
+    for name in sections:
+        section = section[name]
+    edit(section, key)
+    write_checkpoint(path, kind, fields.pop("arch"), arrays, fields)
+
+
 def rewrite_without(path: str, field: str) -> None:
     """Rewrite a checkpoint with its header field at the dotted path removed."""
-    kind, arch, arrays, header = read_checkpoint(path)
-    extra = {k: v for k, v in header.items() if k not in ("kind", "arch", "params")}
-    section, _, key = field.rpartition(".")
-    del (arch if section == "arch" else extra)[key]
-    write_checkpoint(path, kind, arch, arrays, extra)
+    _rewrite_header(path, field, lambda section, key: section.pop(key))
+
+
+def rewrite_with(path: str, field: str, value) -> None:
+    """Rewrite a checkpoint with its header field at the dotted path set to value."""
+    _rewrite_header(path, field, lambda section, key: section.__setitem__(key, value))

@@ -5,6 +5,8 @@ import pytest
 from adbcr import autodiff
 from adbcr.autodiff import Adam, ParamSet, Tape
 from adbcr.errors import ConfigError, DimensionError, DomainError, TrainingError
+from adbcr.model import AdbcrModel
+from adbcr.objectives import BatchView, build_losses
 
 from conftest import finite_difference, rel_err
 
@@ -47,6 +49,34 @@ def test_elu_large_negative_no_overflow():
     root = autodiff.mse_loss(tape, out, tape.constant([[0.0]]))
     tape.backward(root)
     assert np.all(np.isfinite(root.grad))
+
+
+ELU_EDGES = [0.0, 1e-300, -1e-300, -745.0, 1e4, -1e4, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(21).normal(scale=3.0, size=(6, 7)),
+    np.array([ELU_EDGES]),
+], ids=["random", "edges"])
+def test_elu_matches_where_formula(values):
+    """Values and grads equal the two-mask formula elementwise, edge values included."""
+    neg = np.minimum(values, 0.0)
+    where_out = np.where(values > 0.0, values, np.expm1(neg))
+    where_deriv = np.where(values > 0.0, 1.0, np.exp(neg))
+    rows, cols = values.shape
+    tape = Tape()
+    x = tape.param("x", values)
+    out = autodiff.elu(tape, x)
+    np.testing.assert_array_equal(out.data, where_out)
+    # Reduce through constant weights, so the upstream gradient of out is
+    # finite and nonzero everywhere whatever out holds.
+    left = tape.constant(np.linspace(0.5, 1.5, rows).reshape(1, rows))
+    right = tape.constant(np.linspace(-2.0, -1.0, cols).reshape(cols, 1))
+    with np.errstate(invalid="ignore"):
+        root = autodiff.matmul(tape, autodiff.matmul(tape, left, out), right)
+    tape.backward(root)
+    assert np.all(np.isfinite(out.grad)) and np.all(out.grad != 0.0)
+    np.testing.assert_array_equal(x.grad, out.grad * where_deriv)
 
 
 def test_mse_values():
@@ -134,7 +164,7 @@ def test_dropout_backward_uses_forward_mask():
     mask_rng = np.random.default_rng(11)
     keep = (mask_rng.random((4, 5)) >= 0.3) / 0.7
     tape = Tape()
-    x = tape.constant(np.full((4, 5), 2.0))
+    x = tape.param("x", np.full((4, 5), 2.0))
     out = autodiff.dropout(tape, x, 0.3, True, rng)
     np.testing.assert_array_equal(out.data, 2.0 * keep)
     # |out - 0| has positive entries exactly at kept positions, so the l1
@@ -183,6 +213,57 @@ def test_backward_unreached_nodes_zero():
     tape.backward(root)
     assert unused.grad[0, 0] == 0.0
     assert root.grad[0, 0] == 1.0
+
+
+def test_backward_unreached_wanted_param_gets_zeros():
+    """A parameter named in wrt that the root never reaches ends with zeros."""
+    tape = Tape()
+    used = tape.param("used", np.array([[1.0, 2.0]]))
+    unused = tape.param("unused", np.array([[3.0], [4.0]]))
+    target = tape.constant([[0.0, 0.0]])
+    root = autodiff.mse_loss(tape, used, target)
+    tape.backward(root, ["unused"])
+    np.testing.assert_array_equal(unused.grad, np.zeros((2, 1)))
+    assert used.grad is None and target.grad is None
+
+
+def test_backward_without_wanted_parameters_touches_no_node():
+    """A root that no wanted parameter feeds gets grad 1 and nothing below it a buffer."""
+    tape = Tape()
+    x = tape.constant([[1.0, -2.0]])
+    w = tape.param("w", np.array([[0.5], [0.25]]))
+    hidden = autodiff.elu(tape, x)
+    root = autodiff.scale(tape, autodiff.matmul(tape, hidden, w), 3.0)
+    tape.backward(root, [])
+    assert root.grad[0, 0] == 1.0
+    assert all(node.grad is None for node in (x, w, hidden))
+
+
+def _dropout_loss_graph(model, batch, seed):
+    tape = Tape()
+    loss, dist = build_losses(model, batch, tape, training=True,
+                              rng=np.random.default_rng(seed))
+    return tape, autodiff.sub(tape, loss, dist)
+
+
+def test_backward_wrt_heads_matches_full_and_skips_trunk():
+    """Head grads from backward(wrt=heads) equal a full backward's, bit for bit;
+    the trunk and the input batch get no gradient buffer."""
+    model = AdbcrModel(3, (6, 5), (4,), dropout_p=0.3, seed=2)
+    rng = np.random.default_rng(8)
+    batch = BatchView(x=rng.normal(size=(12, 3)), t=np.arange(12) % 2,
+                      y=rng.normal(size=12))
+    heads = list(model.params.subset("head."))
+    full_tape, full_root = _dropout_loss_graph(model, batch, seed=5)
+    full_tape.backward(full_root)
+    tape, root = _dropout_loss_graph(model, batch, seed=5)
+    tape.backward(root, heads)
+    for name in heads:
+        np.testing.assert_array_equal(tape.params[name].grad, full_tape.params[name].grad)
+    first_head = min(tape.params[name].index for name in heads)
+    trunk = tape._nodes[:first_head]
+    assert len(trunk) > len(model.params.subset("phi.")) + 1
+    assert all(node.grad is None for node in trunk)
 
 
 def test_backward_repeatable():
@@ -431,6 +512,54 @@ def test_adam_weight_decay_is_l2_in_gradient():
         opt1.step({"w": g})
         opt2.step({"w": g + 0.3 * p2["w"]})
         np.testing.assert_array_equal(p1["w"], p2["w"])
+
+
+class PerParameterAdam:
+    """Adam as one loop of array operations per parameter: the flat optimizer's reference."""
+
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self._params = dict(params)
+        self.lr, self.weight_decay, self.beta1, self.beta2, self.eps = \
+            lr, weight_decay, beta1, beta2, eps
+        self._m = {k: np.zeros_like(v) for k, v in self._params.items()}
+        self._v = {k: np.zeros_like(v) for k, v in self._params.items()}
+        self.step_count = 0
+
+    def step(self, grads):
+        self.step_count += 1
+        t = self.step_count
+        c1 = 1.0 - self.beta1 ** t
+        c2 = 1.0 - self.beta2 ** t
+        for name, p in self._params.items():
+            g = grads[name]
+            if self.weight_decay != 0.0:
+                g = g + self.weight_decay * p
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_flat_matches_per_parameter_reference(weight_decay):
+    """50 steps over mixed shapes move the parameters exactly as the per-parameter loop."""
+    rng = np.random.default_rng(17)
+    shapes = {"w": (5, 3), "b": (1, 3), "s": (1, 1), "col": (4, 1)}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    flat = {name: a.copy() for name, a in start.items()}
+    ref = {name: a.copy() for name, a in start.items()}
+    opt = Adam(flat, lr=0.01, weight_decay=weight_decay)
+    ref_opt = PerParameterAdam(ref, lr=0.01, weight_decay=weight_decay)
+    for _ in range(50):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                 for name, shape in shapes.items()}
+        opt.step(grads)
+        ref_opt.step(grads)
+        for name in shapes:
+            assert flat[name].tobytes() == ref[name].tobytes(), name
 
 
 def test_adam_rejects_non_finite_gradient():

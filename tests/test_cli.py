@@ -7,7 +7,7 @@ import pytest
 from adbcr import cli, data
 from adbcr.model import load_model
 
-from conftest import rewrite_without
+from conftest import rewrite_with, rewrite_without
 
 
 def run(argv) -> int:
@@ -252,6 +252,16 @@ def test_eval_checkpoint_lacking_header_field_is_usage_error(benchmark_csv, tmp_
     assert run(["eval", "--checkpoint", train_out / "model.ckpt",
                 "--data", benchmark_csv, "--out", tmp_path / "e"]) == 2
     assert "'arch.variant'" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_bad_header_value_is_usage_error(benchmark_csv, tmp_path, capsys):
+    train_out = tmp_path / "t"
+    assert run(["train", "--data", benchmark_csv, "--out", train_out, *NET_FLAGS]) == 0
+    rewrite_with(str(train_out / "model.ckpt"), "arch.seed", "x")
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", train_out / "model.ckpt",
+                "--data", benchmark_csv, "--out", tmp_path / "e"]) == 2
+    assert "'arch.seed'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Effect metrics, report tables, and hyper-parameter search."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,11 @@ def search_base(**overrides) -> TrainConfig:
 
 
 def nn_pehe_oracle(x, t, y, tau_hat) -> float:
-    """Independent loop implementation of the neighbour-imputed effect error."""
+    """Independent row-by-row implementation of the neighbour-imputed effect error.
+
+    Each row's neighbour is the first minimum of its distances to the
+    opposite arm in row order, so ties go to the lowest row index.
+    """
     n = x.shape[0]
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
@@ -36,14 +42,9 @@ def nn_pehe_oracle(x, t, y, tau_hat) -> float:
     z = (x - mean) / sd
     total = 0.0
     for i in range(n):
-        best_j, best_d = -1, np.inf
-        for j in range(n):
-            if t[j] == t[i]:
-                continue
-            dist = float(((z[i] - z[j]) ** 2).sum())
-            if dist < best_d:
-                best_d, best_j = dist, j
-        tilde = y[i] - y[best_j] if t[i] == 1 else y[best_j] - y[i]
+        opposite = np.flatnonzero(t != t[i])
+        j = opposite[np.argmin(((z[opposite] - z[i]) ** 2).sum(axis=1))]
+        tilde = y[i] - y[j] if t[i] == 1 else y[j] - y[i]
         total += (tilde - tau_hat[i]) ** 2
     return total / n
 
@@ -125,6 +126,32 @@ def test_nn_pehe_permutation_invariant():
     np.testing.assert_allclose(nn_pehe(x, t, y, tau_hat),
                                nn_pehe(x[perm], t[perm], y[perm], tau_hat[perm]),
                                rtol=1e-12)
+
+
+# nn_pehe's tracemalloc peak at n=4000, d=5 (about 10 MiB: one 8 MiB
+# difference buffer plus its row sums), where a single n1 x n0 x d
+# difference tensor would take 160 MB.
+NN_PEHE_PEAK_CEILING = 16 * 2 ** 20
+
+
+def test_nn_pehe_bounded_memory_with_ties():
+    """n=4000 on a coarse covariate grid (many exact ties): bounded peak, oracle result."""
+    rng = np.random.default_rng(6)
+    n = 4000
+    x = rng.integers(0, 3, size=(n, 5)).astype(np.float64)
+    t = (rng.random(n) < 0.5).astype(np.int64)
+    for arm in (0, 1):   # duplicate rows in each arm: the other arm's rows meet exact ties
+        assert np.unique(x[t == arm], axis=0).shape[0] < (t == arm).sum()
+    y = rng.normal(size=n)
+    tau_hat = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        value = nn_pehe(x, t, y, tau_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < NN_PEHE_PEAK_CEILING, f"peak {peak / 2 ** 20:.1f} MiB"
+    np.testing.assert_allclose(value, nn_pehe_oracle(x, t, y, tau_hat), rtol=1e-12)
 
 
 def test_nn_pehe_needs_both_arms():

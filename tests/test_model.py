@@ -1,4 +1,5 @@
 """Network construction, prediction semantics, scalers, and checkpoints."""
+import json
 import os
 import re
 
@@ -10,7 +11,7 @@ from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
                          read_checkpoint, write_checkpoint)
 
-from conftest import rewrite_without
+from conftest import rewrite_with, rewrite_without
 
 
 def tiny_model(seed: int = 0, d: int = 3) -> AdbcrModel:
@@ -275,6 +276,56 @@ def test_checkpoint_header_field_required(tmp_path, kind, field):
     path = str(tmp_path / "m.ckpt")
     saved_kind(kind, path)
     rewrite_without(path, field)
+    with pytest.raises(CheckpointError, match=re.escape(repr(field))):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("adbcr", "arch.seed", "x"),
+    ("adbcr", "arch.seed", 1.5),
+    ("adbcr", "arch.seed", -1),
+    ("adbcr", "arch.input_dim", 0),
+    ("adbcr", "arch.shared_layers", "6,5"),
+    ("adbcr", "arch.shared_layers", [6, 0]),
+    ("adbcr", "arch.head_layers", []),
+    ("adbcr", "arch.dropout_p", 1.0),
+    ("adbcr", "scalers.x_mean", [0.0, 0.0]),
+    ("adbcr", "scalers.y_std", 0.0),
+    ("danncr", "arch.head_layers", [True]),
+    ("lasso", "arch.alpha", "x"),
+    ("lasso", "arch.alpha", -0.1),
+    ("lasso", "arch.input_dim", 3.0),
+    ("lasso", "arch.variant", "both"),
+])
+def test_checkpoint_header_field_must_be_valid(tmp_path, kind, field, value):
+    """A header field of the wrong type or value fails with CheckpointError naming it."""
+    path = str(tmp_path / "m.ckpt")
+    saved_kind(kind, path)
+    rewrite_with(path, field, value)
+    with pytest.raises(CheckpointError, match=re.escape(repr(field))):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", ["adbcr"]),
+    ("arch", "adbcr"),
+    ("params", "phi.0.w"),
+    ("params", [["phi.0.w", ["3", 6]]]),
+    ("params", [["phi.0.w", [3, -6]]]),
+    ("params", [[0, [3, 6]]]),
+])
+def test_checkpoint_container_field_must_be_valid(tmp_path, field, value):
+    """A container field of the wrong type or value fails with CheckpointError naming it."""
+    path = str(tmp_path / "m.ckpt")
+    tiny_model().save(path)
+    blob = open(path, "rb").read()
+    start = len(b"ADBCR-CKPT\x00") + 4   # magic, u32 version, then the u64 header length
+    length = int(np.frombuffer(blob, "<u8", count=1, offset=start)[0])
+    header = json.loads(blob[start + 8:start + 8 + length])
+    header[field] = value
+    payload = json.dumps(header).encode("utf-8")
+    open(path, "wb").write(blob[:start] + np.uint64(len(payload)).tobytes() + payload
+                           + blob[start + 8 + length:])
     with pytest.raises(CheckpointError, match=re.escape(repr(field))):
         load_model(path)
 
