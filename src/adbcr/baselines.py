@@ -11,8 +11,8 @@ a_tarnet ablation is a trainer mode, not a class here.
 
 DANNCR keeps the shared representation but pairs one outcome head per
 treatment (its `ARMS`) with a two-logit domain discriminator (its extra
-stack). danncr_train() runs `adbcr.trainer.run_epochs` with three phases
-per batch, each ending in `adbcr.trainer.descend`: one prediction step
+stack). Its entry in `adbcr.trainer.MODES`, registered here, runs three
+phases per batch, each ending in `adbcr.trainer.descend`: one prediction step
 (representation and heads on the factual loss of
 `adbcr.objectives.build_losses`, shared with adbcr), one discriminator step
 (cross entropy on the discriminator alone), and one confusion step
@@ -34,8 +34,8 @@ from .model import (CHECKPOINT_LOADERS, Network, check_arrays, header_field, val
                     valid_real, write_checkpoint)
 from .objectives import BatchView, build_losses, factual_term
 from .seeding import generator
-from .trainer import (EpochRecord, TrainConfig, TrainResult, _finite_scalar, descend,
-                      phase_optimizer, prepare_run, run_epochs)
+from .trainer import (MODES, EpochRecord, TrainConfig, TrainResult, _finite_scalar, descend,
+                      phase_optimizer, train)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 LASSO_VARIANTS = ("single", "per_treatment")
@@ -105,14 +105,6 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
     w[sd == 0.0] = 0.0
     intercept = y_mean - float(w @ mean)
     return w, intercept
-
-
-def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, intercept: float,
-                    alpha: float) -> float:
-    """The solver's objective for input-scale weights (penalty on the standardized scale)."""
-    sd = x.std(axis=0)
-    residual = y - x @ w - intercept
-    return float(0.5 * np.mean(residual * residual) + alpha * np.sum(np.abs(w * sd)))
 
 
 @dataclass
@@ -187,15 +179,6 @@ def _load_lasso(arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
 
 
 CHECKPOINT_LOADERS["lasso"] = _load_lasso
-
-
-def lasso_cate(model: LassoModel, x: np.ndarray) -> np.ndarray:
-    """Estimated effect per row: constant for single, model difference otherwise."""
-    if model.variant == "single":
-        x = model._check(x)
-        return np.full(x.shape[0], model.weights[-1])
-    y0, y1 = model.predict_potential_outcomes(x)
-    return y1 - y0
 
 
 def _stratified_folds(t: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -285,9 +268,6 @@ class DanncrModel(Network):
     EXTRA_STACKS = (("disc", 2),)
 
 
-CHECKPOINT_LOADERS[DanncrModel.kind] = DanncrModel.load
-
-
 def _danncr_ce_graph(model: DanncrModel, batch: BatchView, tape: Tape, rng) -> autodiff.Tensor:
     """Training-mode discriminator cross entropy of the batch's treatments."""
     h = model.phi_forward(tape, tape.constant(batch.x), True, rng)
@@ -336,23 +316,26 @@ def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
     return EpochRecord(0, factual, float(ce.data[0, 0]), factual)
 
 
-def danncr_train(dataset: Dataset, config: TrainConfig,
-                 history_path: str | None = None) -> TrainResult:
-    """Three-phase danncr run; early stopping and selection on factual validation MSE.
-
-    config.adversary_weight is reused as the gradient-reversal coefficient.
-    """
-    if config.mode != "danncr":
-        raise ConfigError(f"danncr_train requires mode 'danncr', got {config.mode!r}")
-    model, train_view, val_view = prepare_run(dataset, config, DanncrModel)
+def _danncr_phases(model: DanncrModel, config: TrainConfig, val_view: BatchView):
+    """[predict, discriminate, confuse]; adversary_weight is the reversal coefficient."""
     opt_predict = phase_optimizer(model, config, "phi.", "head.")
     opt_disc = phase_optimizer(model, config, "disc.")
     opt_confuse = phase_optimizer(model, config, "phi.")
-    phases = [
+    return [
         lambda batch, rng: danncr_step_predict(model, batch, opt_predict, rng),
         lambda batch, rng: danncr_step_discriminate(model, batch, opt_disc, rng),
         lambda batch, rng: danncr_step_confuse(model, batch, opt_confuse,
                                                config.adversary_weight, rng),
-    ]
-    return run_epochs(model, train_view, config, phases,
-                      lambda: danncr_validation(model, val_view), history_path)
+    ], lambda: danncr_validation(model, val_view)
+
+
+CHECKPOINT_LOADERS[DanncrModel.kind] = DanncrModel.load
+MODES[DanncrModel.kind] = (DanncrModel, _danncr_phases)
+
+
+def danncr_train(dataset: Dataset, config: TrainConfig,
+                 history_path: str | None = None) -> TrainResult:
+    """`adbcr.trainer.train` for a config of mode danncr."""
+    if config.mode != "danncr":
+        raise ConfigError(f"danncr_train requires mode 'danncr', got {config.mode!r}")
+    return train(dataset, config, history_path)

@@ -27,8 +27,6 @@ from .evaluation import MetricsReport
 from .model import canonical_fingerprint, load_checkpoint
 
 DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
-TRAIN_MODES = ("adbcr", "uadbcr", "a-tarnet", "danncr", "s-lasso", "t-lasso")
-SEARCH_MODES = ("adbcr", "uadbcr", "a-tarnet", "danncr")
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +132,7 @@ def resolve_options(args, option_specs: dict) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -301,9 +297,8 @@ def cmd_train(args) -> int:
                                      seed=args.seed, mode=mode.replace("-", "_"))
         history_path = os.path.join(args.out, "history.tsv")
         outputs["history"] = history_path
-        run = baselines.danncr_train if config.mode == "danncr" else trainer.train
         try:
-            result = run(dataset, config, history_path=history_path)
+            result = trainer.train(dataset, config, history_path=history_path)
         except TrainingError as e:
             evaluation.write_reports_csv(report_path, [_failed_report(str(e))])
             write_manifest(args.out, _manifest(
@@ -492,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Counterfactual regression via adversarial distribution balancing")
     parser.add_argument("--version", action="version", version=f"adbcr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    net_modes = tuple(mode.replace("_", "-") for mode in trainer.MODES)
 
     p = sub.add_parser("generate", help="Draw a synthetic benchmark dataset")
     _add_shared(p)
@@ -507,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="Train one configuration")
     _add_shared(p)
     _add_data_flags(p)
-    p.add_argument("--mode", type=str, default="adbcr", choices=TRAIN_MODES)
+    p.add_argument("--mode", type=str, default="adbcr", choices=(*net_modes, "s-lasso", "t-lasso"))
     _add_net_flags(p)
     p.add_argument("--alpha", type=float, default=None, help="Fixed lasso penalty (skips CV)")
     p.add_argument("--alpha-grid", dest="alpha_grid", type=parse_float_list, default=None)
@@ -516,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="Random hyper-parameter search")
     _add_shared(p)
     _add_data_flags(p)
-    p.add_argument("--mode", type=str, default="adbcr", choices=SEARCH_MODES)
+    p.add_argument("--mode", type=str, default="adbcr", choices=net_modes)
     p.add_argument("--draws", type=int, default=None, help="Random draws per architecture")
     p.add_argument("--jobs", type=int, default=1, help="Concurrent training runs")
     p.add_argument("--architectures", type=parse_architectures, default=None,

@@ -117,6 +117,9 @@ class DgpConfig:
             raise ConfigError(f"n must be at least 50, got {self.n}")
         if self.d < 2:
             raise ConfigError(f"d must be at least 2, got {self.d}")
+        for name in ("bias_strength", "effect_heterogeneity", "noise_sd", "base_effect"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sd < 0:
             raise ConfigError(f"noise_sd must be non-negative, got {self.noise_sd}")
         if self.nonlinearity not in NONLINEARITIES:

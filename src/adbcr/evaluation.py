@@ -7,11 +7,11 @@ the closest opposite-arm row on standardized covariates and scores an
 estimate against those imputed effects; it needs no ground truth, which is
 what makes it a model-selection baseline.
 
-search() trains every sampled configuration and selects the run with the
-lowest stored criterion (the distance-augmented validation criterion for
-adbcr/uadbcr, factual validation MSE for a_tarnet/danncr, which is what
-those trainers store). Runs that diverge are recorded as failed and
-excluded rather than treated as infinitely bad.
+search() trains every sampled configuration through `adbcr.trainer.train`
+and selects the run with the lowest stored criterion (the
+distance-augmented validation criterion for adbcr/uadbcr, factual
+validation MSE for a_tarnet/danncr). Runs that diverge are recorded as
+failed and excluded rather than treated as infinitely bad.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import danncr_train
 from .data import TEST, TRAIN, VAL, Dataset
 from .errors import ConfigError, DimensionError, DomainError, SearchError, TrainingError
 from .seeding import generator
@@ -269,8 +268,7 @@ class SearchResult:
 
 def _run_one(dataset: Dataset, config: TrainConfig, index: int) -> tuple[RunRecord, TrainResult | None]:
     try:
-        result = danncr_train(dataset, config) if config.mode == "danncr" \
-            else train(dataset, config)
+        result = train(dataset, config)
     except TrainingError as e:
         return RunRecord(index, config, "failed", str(e)), None
     return RunRecord(index, config, "ok", "", result.best_value, result.best_epoch,

@@ -32,8 +32,6 @@ from .autodiff import ParamSet, Tape
 from .errors import CheckpointError, ConfigError, DimensionError
 from .seeding import generator
 
-HEAD_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 _MAGIC = b"ADBCR-CKPT\x00"
 _VERSION = 1
 
@@ -209,15 +207,6 @@ class AdbcrModel(Network):
 
     kind = "adbcr"
     ARMS = (("head.0.0", "head.0.1"), ("head.1.0", "head.1.1"))
-
-    def forward_head(self, x: np.ndarray, t: int, r: int, training: bool = False,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-        """Head output on already-standardized covariates, as an (n, 1) column."""
-        x = self._check_columns(x)
-        tape = Tape()
-        h = self.phi_forward(tape, tape.constant(x), training, rng)
-        out = self.stack_forward(tape, self.ARMS[t][r], h, training, rng)
-        return out.data.copy()
 
 
 def _scalers_to_header(s: Scalers) -> dict:

@@ -1,27 +1,26 @@
-"""The epoch loop of every network mode, and the adbcr/uadbcr/a_tarnet phases.
+"""The one training entry point, the table of network modes, and the adbcr phases.
 
-A mode is a list of per-batch phases plus a validation function; run_epochs()
-runs any such list and owns batching, the history file, early stopping and
+MODES maps each network mode to its network class and to a builder of its
+per-batch phases and validation closure. train() serves every mode: it
+fits the scalers, builds the network and the phases, and calls
+run_epochs(), which owns batching, the history file, early stopping and
 the best-epoch snapshot. Each phase owns its own Adam instance, so freezes
-hold structurally: a phase's optimizer never sees the frozen tensors. Each
-phase builds its objective on a fresh tape and ends in descend().
+hold structurally; it builds its objective on a fresh tape and ends in
+descend().
 
-train() builds the adversarial modes' phases: step_A (all parameters follow
-the factual loss), step_B (heads follow factual loss minus the weighted
-distance, shared representation frozen), step_C repeated k times (shared
+The adbcr and uadbcr phases are step_A (all parameters follow the factual
+loss), step_B (heads follow factual loss minus the weighted distance,
+shared representation frozen), step_C repeated k times (shared
 representation follows the distance, heads frozen), and a trailing step_A.
-The a_tarnet mode runs only the leading step_A. The danncr phases are built
-by `adbcr.baselines.danncr_train`.
+a_tarnet runs only the leading step_A; adbcr.baselines registers danncr.
 
 After every epoch the validation criterion (factual loss plus distance for
 adbcr/uadbcr, factual loss alone for a_tarnet and danncr) is evaluated on
 the full validation split in eval mode; the best epoch's parameters are
 returned and training stops once `patience` consecutive epochs fail to
-improve the criterion by more than IMPROVEMENT_EPS.
-
-Outcomes and covariates are standardized with scalers fit on the training
-split in prepare_run(); the scalers are stored on the model, so
-predictions come back on the original scale.
+improve the criterion by more than IMPROVEMENT_EPS. Scalers fit on the
+training split are stored on the model, so predictions come back on the
+original scale.
 """
 from __future__ import annotations
 
@@ -38,8 +37,6 @@ from .errors import ConfigError, DatasetError, TrainingError
 from .model import AdbcrModel, Network, Scalers, canonical_fingerprint
 from .objectives import BatchView, build_losses
 from .seeding import generator
-
-MODES = ("adbcr", "uadbcr", "a_tarnet", "danncr")
 
 # Patience threshold: an epoch improves only if the criterion drops by more.
 IMPROVEMENT_EPS = 1e-12
@@ -80,12 +77,17 @@ class TrainConfig:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for name in ("weight_decay", "adversary_weight", "imbalance_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.metric not in objectives.METRICS:
             raise ConfigError(f"metric must be one of {objectives.METRICS}, got {self.metric!r}")
 
@@ -239,13 +241,11 @@ def labeled_view(dataset: Dataset, split: int, scalers: Scalers,
 
 def evaluate_validation(model: AdbcrModel, val_view: BatchView, config: TrainConfig) -> EpochRecord:
     """Eval-mode validation quantities for one epoch, full split, one pass."""
-    tape = Tape()
-    if config.mode == "a_tarnet":
-        loss, _ = build_losses(model, val_view, tape, need_distance=False)
-        factual = float(loss.data[0, 0])
-        return EpochRecord(0, factual, None, factual)
-    loss, dist = build_losses(model, val_view, tape, metric=config.metric)
+    loss, dist = build_losses(model, val_view, Tape(), metric=config.metric,
+                              need_distance=config.mode != "a_tarnet")
     factual = float(loss.data[0, 0])
+    if dist is None:
+        return EpochRecord(0, factual, None, factual)
     distance = float(dist.data[0, 0])
     return EpochRecord(0, factual, distance, factual + config.imbalance_weight * distance)
 
@@ -279,34 +279,6 @@ class HistoryWriter:
     def close(self) -> None:
         if self._file:
             self._file.close()
-
-
-def prepare_run(dataset: Dataset, config: TrainConfig,
-                network: type[Network]) -> tuple[Network, BatchView, BatchView]:
-    """A fresh network with training-split scalers, plus the train and validation views.
-
-    Both labeled splits must hold both arms. Only uadbcr mode adds the
-    unlabeled pool to the training view.
-    """
-    if dataset.split is None:
-        raise DatasetError("dataset has no split assignment; call split() first")
-    for split, name in ((TRAIN, "train"), (VAL, "validation")):
-        rows = dataset.labeled_indices(split)
-        t = dataset.t[rows]
-        if (t == 1).sum() == 0 or (t == 0).sum() == 0:
-            raise DatasetError(f"{name} split lacks a treatment arm")
-    train_rows = dataset.labeled_indices(TRAIN)
-    scalers = Scalers.fit(dataset.x[train_rows], dataset.y_factual[train_rows])
-    unlabeled = None
-    if config.mode == "uadbcr":
-        pool = dataset.unlabeled_rows()
-        if pool.size > 0:
-            unlabeled = scalers.standardize_x(dataset.x[pool])
-    model = network(dataset.x.shape[1], config.shared_layers, config.head_layers,
-                    config.dropout_p, config.seed)
-    model.scalers = scalers
-    return (model, labeled_view(dataset, TRAIN, scalers, unlabeled),
-            labeled_view(dataset, VAL, scalers))
 
 
 def phase_optimizer(model: Network, config: TrainConfig, *prefixes: str) -> Adam:
@@ -357,12 +329,8 @@ def run_epochs(model: Network, train_view: BatchView, config: TrainConfig,
     return TrainResult(model, best_value, best_epoch, history, config)
 
 
-def train(dataset: Dataset, config: TrainConfig,
-          history_path: str | None = None) -> TrainResult:
-    """Train in adbcr, uadbcr or a_tarnet mode; return the best epoch's model and the history."""
-    if config.mode == "danncr":
-        raise ConfigError("danncr training lives in baselines.danncr_train")
-    model, train_view, val_view = prepare_run(dataset, config, AdbcrModel)
+def _net_phases(model: AdbcrModel, config: TrainConfig, val_view: BatchView):
+    """a_tarnet: [A]; adbcr and uadbcr: [A, B, C] plus a trailing A if configured."""
     opt_a = phase_optimizer(model, config, "phi.", "head.")
     phases = [lambda batch, rng: step_A(model, batch, opt_a, rng)]
     if config.mode != "a_tarnet":
@@ -374,5 +342,39 @@ def train(dataset: Dataset, config: TrainConfig,
                                                 config.metric))
         if config.trailing_step_a:
             phases.append(phases[0])
-    return run_epochs(model, train_view, config, phases,
-                      lambda: evaluate_validation(model, val_view, config), history_path)
+    return phases, lambda: evaluate_validation(model, val_view, config)
+
+
+# Network mode -> (network class, builder). builder(model, config, val_view)
+# returns the mode's phases and validation closure. They call the step and
+# validation functions by the module-level names that bench/tracer.py rebinds.
+MODES: dict[str, tuple[type[Network], Callable]] = {
+    mode: (AdbcrModel, _net_phases) for mode in ("adbcr", "uadbcr", "a_tarnet")}
+
+
+def train(dataset: Dataset, config: TrainConfig,
+          history_path: str | None = None) -> TrainResult:
+    """Train a fresh network of config.mode; return the best epoch's model and the history.
+
+    Both labeled splits must hold both arms. Scalers are fit on the
+    training split; only uadbcr mode adds the unlabeled pool to the
+    training view.
+    """
+    if dataset.split is None:
+        raise DatasetError("dataset has no split assignment; call split() first")
+    for split, name in ((TRAIN, "train"), (VAL, "validation")):
+        t = dataset.t[dataset.labeled_indices(split)]
+        if (t == 1).sum() == 0 or (t == 0).sum() == 0:
+            raise DatasetError(f"{name} split lacks a treatment arm")
+    train_rows = dataset.labeled_indices(TRAIN)
+    scalers = Scalers.fit(dataset.x[train_rows], dataset.y_factual[train_rows])
+    unlabeled = None
+    if config.mode == "uadbcr":   # make_batches treats an empty pool as none
+        unlabeled = scalers.standardize_x(dataset.x[dataset.unlabeled_rows()])
+    network, build = MODES[config.mode]
+    model = network(dataset.x.shape[1], config.shared_layers, config.head_layers,
+                    config.dropout_p, config.seed)
+    model.scalers = scalers
+    phases, validate = build(model, config, labeled_view(dataset, VAL, scalers))
+    return run_epochs(model, labeled_view(dataset, TRAIN, scalers, unlabeled), config,
+                      phases, validate, history_path)

@@ -1,9 +1,14 @@
-"""Shared helpers: finite-difference oracles, small benchmark fixtures, checkpoint edits."""
+"""Shared helpers: finite-difference oracles, small benchmark fixtures, checkpoint edits.
+
+Also the one-head forward and the lasso effect estimate, which only tests use.
+"""
 import numpy as np
 import pytest
 
 from adbcr import data
-from adbcr.model import read_checkpoint, write_checkpoint
+from adbcr.autodiff import Tape
+from adbcr.baselines import LassoModel
+from adbcr.model import AdbcrModel, read_checkpoint, write_checkpoint
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -64,3 +69,22 @@ def rewrite_without(path: str, field: str) -> None:
 def rewrite_with(path: str, field: str, value) -> None:
     """Rewrite a checkpoint with its header field at the dotted path set to value."""
     _rewrite_header(path, field, lambda section, key: section.__setitem__(key, value))
+
+
+def forward_head(model: AdbcrModel, x: np.ndarray, t: int, r: int, training: bool = False,
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """Head r of arm t on already-standardized covariates, as an (n, 1) column."""
+    x = model._check_columns(x)
+    tape = Tape()
+    h = model.phi_forward(tape, tape.constant(x), training, rng)
+    out = model.stack_forward(tape, model.ARMS[t][r], h, training, rng)
+    return out.data.copy()
+
+
+def lasso_cate(model: LassoModel, x: np.ndarray) -> np.ndarray:
+    """Estimated effect per row: constant for single, model difference otherwise."""
+    if model.variant == "single":
+        x = model._check(x)
+        return np.full(x.shape[0], model.weights[-1])
+    y0, y1 = model.predict_potential_outcomes(x)
+    return y1 - y0

@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, forward_head, lasso_cate, rel_err
 from adbcr import data, objectives
 from adbcr.autodiff import Adam, Tape, grads_for
-from adbcr.baselines import fit_lasso_on_dataset, lasso_cate, lasso_fit
+from adbcr.baselines import fit_lasso_on_dataset, lasso_fit
 from adbcr.evaluation import (SearchSpace, ate_error, nn_pehe, pehe, search,
                               select_by_nn_pehe)
 from adbcr.model import AdbcrModel, Scalers, load_model
@@ -101,8 +101,8 @@ def random_fidelity_case(rng):
         gap = np.empty(n)
         for arm in (0, 1):
             pool = np.flatnonzero(t == 1 - arm)
-            gap[pool] = np.abs(model.forward_head(x[pool], arm, 0)[:, 0]
-                               - model.forward_head(x[pool], arm, 1)[:, 0])
+            gap[pool] = np.abs(forward_head(model, x[pool], arm, 0)[:, 0]
+                               - forward_head(model, x[pool], arm, 1)[:, 0])
         keep = gap >= 1e-3
         if keep.any() and np.unique(t[keep]).size == 2:
             return model, BatchView(x=x[keep], t=t[keep], y=y[keep])

@@ -7,8 +7,7 @@ from adbcr.autodiff import Adam, Tape
 from adbcr.baselines import (DEFAULT_ALPHA_GRID, DanncrModel, coordinate_descent,
                              danncr_step_confuse, danncr_step_discriminate,
                              danncr_step_predict, danncr_train, danncr_validation, fit_lasso,
-                             fit_lasso_on_dataset, lasso_cate, lasso_fit,
-                             lasso_objective, select_alpha, soft_threshold)
+                             fit_lasso_on_dataset, lasso_fit, select_alpha, soft_threshold)
 from adbcr.errors import ConfigError, DatasetError
 from adbcr.evaluation import pehe
 from adbcr.model import Network, load_model
@@ -16,7 +15,15 @@ from adbcr.objectives import BatchView
 from adbcr.seeding import generator
 from adbcr.trainer import TrainConfig
 
-from conftest import small_benchmark
+from conftest import lasso_cate, small_benchmark
+
+
+def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, intercept: float,
+                    alpha: float) -> float:
+    """The solver's objective for input-scale weights (penalty on the standardized scale)."""
+    sd = x.std(axis=0)
+    residual = y - x @ w - intercept
+    return float(0.5 * np.mean(residual * residual) + alpha * np.sum(np.abs(w * sd)))
 
 
 def regression_problem(seed: int = 0, n: int = 50, d: int = 3):

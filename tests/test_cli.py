@@ -62,6 +62,14 @@ def test_generate_invalid_size_is_usage_error(tmp_path):
     assert run(["generate", "--out", tmp_path / "g", "--n", 10]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--base-effect", "nan"), ("--noise-sd", "inf"),
+                                         ("--heterogeneity", "inf"), ("--bias", "nan")])
+def test_generate_non_finite_knob_is_usage_error(tmp_path, flag, value):
+    out = tmp_path / "g"
+    assert run(["generate", "--out", out, flag, value]) == 2
+    assert not (out / "dataset.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -272,6 +280,15 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exit_info.value.code == 0
     assert "adbcr" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, field", [("--lr", "nan", "learning_rate"),
+                                                ("--weight-decay", "-1", "weight_decay")])
+def test_train_bad_knob_is_usage_error(benchmark_csv, tmp_path, capsys, flag, value, field):
+    out = tmp_path / "t"
+    assert run(["train", "--data", benchmark_csv, "--out", out, *NET_FLAGS, flag, value]) == 2
+    assert not (out / "model.ckpt").exists()
+    assert field in capsys.readouterr().err
 
 
 def test_unknown_mode_is_usage_error(benchmark_csv, tmp_path):

@@ -11,7 +11,7 @@ from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
                          read_checkpoint, write_checkpoint)
 
-from conftest import rewrite_with, rewrite_without
+from conftest import forward_head, rewrite_with, rewrite_without
 
 
 def tiny_model(seed: int = 0, d: int = 3) -> AdbcrModel:
@@ -71,35 +71,35 @@ def test_forward_head_batch_consistency():
     model = tiny_model()
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 3))
-    batch = model.forward_head(x, 1, 0)
+    batch = forward_head(model, x, 1, 0)
     assert batch.shape == (5, 1)
     for i in range(5):
         # matmul kernels reduce in shape-dependent order, so exact equality
         # is not available here; same-shape calls elsewhere are bit-stable.
-        single = model.forward_head(x[i:i + 1], 1, 0)
+        single = forward_head(model, x[i:i + 1], 1, 0)
         np.testing.assert_allclose(single[0], batch[i], rtol=0, atol=1e-12)
 
 
 def test_forward_head_column_mismatch():
     model = tiny_model()
     with pytest.raises(DimensionError):
-        model.forward_head(np.zeros((2, 4)), 0, 0)
+        forward_head(model, np.zeros((2, 4)), 0, 0)
 
 
 def test_forward_head_deterministic_eval():
     model = tiny_model()
     x = np.random.default_rng(2).normal(size=(1, 3))
-    np.testing.assert_array_equal(model.forward_head(x, 0, 1), model.forward_head(x, 0, 1))
+    np.testing.assert_array_equal(forward_head(model, x, 0, 1), forward_head(model, x, 0, 1))
 
 
 def test_tied_heads_identical_outputs():
     model = tiny_model()
     tie_heads(model, 1)
     x = np.random.default_rng(3).normal(size=(4, 3))
-    np.testing.assert_array_equal(model.forward_head(x, 1, 0), model.forward_head(x, 1, 1))
+    np.testing.assert_array_equal(forward_head(model, x, 1, 0), forward_head(model, x, 1, 1))
     # the averaged prediction then equals either head's (de-standardized) output
     y0, y1 = model.predict_potential_outcomes(x)
-    np.testing.assert_allclose(y1, model.forward_head(x, 1, 0)[:, 0], rtol=1e-14)
+    np.testing.assert_allclose(y1, forward_head(model, x, 1, 0)[:, 0], rtol=1e-14)
 
 
 def test_predict_is_head_average():
@@ -108,8 +108,8 @@ def test_predict_is_head_average():
     x = np.random.default_rng(4).normal(size=(3, 3))
     y0, y1 = model.predict_potential_outcomes(x)
     for t, y in ((0, y0), (1, y1)):
-        a = model.forward_head(x, t, 0)[:, 0]
-        b = model.forward_head(x, t, 1)[:, 0]
+        a = forward_head(model, x, t, 0)[:, 0]
+        b = forward_head(model, x, t, 1)[:, 0]
         np.testing.assert_allclose(y, 0.5 * (a + b), rtol=1e-14)
 
 
@@ -137,8 +137,8 @@ def test_dropout_zero_training_equals_eval():
     x = np.random.default_rng(8).normal(size=(4, 3))
     rng = np.random.default_rng(0)
     np.testing.assert_array_equal(
-        model.forward_head(x, 0, 0, training=True, rng=rng),
-        model.forward_head(x, 0, 0, training=False))
+        forward_head(model, x, 0, 0, training=True, rng=rng),
+        forward_head(model, x, 0, 0, training=False))
 
 
 # ---------------------------------------------------------------------------

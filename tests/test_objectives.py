@@ -6,10 +6,14 @@ from adbcr import objectives
 from adbcr.autodiff import Tape
 from adbcr.baselines import DanncrModel
 from adbcr.errors import BatchCompositionError, ConfigError, DimensionError
-from adbcr.model import HEAD_KEYS, AdbcrModel
+from adbcr.model import AdbcrModel
 from adbcr.objectives import (BatchView, build_losses, discriminative_distance,
                               factual_loss, validation_criterion)
 from adbcr.seeding import generator
+
+from conftest import forward_head
+
+HEAD_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def random_batch(seed: int, n: int = 10, d: int = 3, unlabeled: int = 0) -> BatchView:
@@ -110,8 +114,8 @@ def test_distance_compositional_oracle():
     expect = 0.0
     for t in (0, 1):
         pool = np.flatnonzero(batch.t == 1 - t)
-        a = model.forward_head(batch.x[pool], t, 0)[:, 0]
-        b = model.forward_head(batch.x[pool], t, 1)[:, 0]
+        a = forward_head(model, batch.x[pool], t, 0)[:, 0]
+        b = forward_head(model, batch.x[pool], t, 1)[:, 0]
         expect += np.mean(np.abs(a - b))
     np.testing.assert_allclose(discriminative_distance(model, batch, "l1"), expect,
                                rtol=1e-12)
@@ -123,8 +127,8 @@ def test_distance_pool_includes_unlabeled():
     expect = 0.0
     for t in (0, 1):
         pool_x = np.vstack([batch.x[batch.t == 1 - t], batch.unlabeled_x])
-        a = model.forward_head(pool_x, t, 0)[:, 0]
-        b = model.forward_head(pool_x, t, 1)[:, 0]
+        a = forward_head(model, pool_x, t, 0)[:, 0]
+        b = forward_head(model, pool_x, t, 1)[:, 0]
         expect += np.mean(np.abs(a - b))
     np.testing.assert_allclose(discriminative_distance(model, batch, "l1"), expect,
                                rtol=1e-12)

@@ -4,12 +4,11 @@ import pytest
 
 from adbcr import data, objectives
 from adbcr.autodiff import Adam
-from adbcr.baselines import danncr_train
 from adbcr.errors import ConfigError, DatasetError, TrainingError
-from adbcr.model import AdbcrModel, Scalers
+from adbcr.model import AdbcrModel, Scalers, load_checkpoint
 from adbcr.objectives import BatchView, discriminative_distance, factual_loss
 from adbcr.seeding import generator
-from adbcr.trainer import (TrainConfig, labeled_view, make_batches, step_A,
+from adbcr.trainer import (MODES, TrainConfig, labeled_view, make_batches, step_A,
                            step_B, step_C, train)
 
 from conftest import small_benchmark
@@ -20,12 +19,6 @@ def quick_config(**overrides) -> TrainConfig:
                 batch_size=40, learning_rate=1e-3, patience=5, max_epochs=8, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
-
-
-def run_mode(dataset, config: TrainConfig, history_path=None):
-    """Train through the entry point of the config's mode."""
-    run = danncr_train if config.mode == "danncr" else train
-    return run(dataset, config, history_path=history_path)
 
 
 def fresh_setup(seed: int = 0, n: int = 60, dropout: float = 0.1):
@@ -58,6 +51,14 @@ def test_config_invariants():
         quick_config(metric="l3")
     with pytest.raises(ConfigError):
         quick_config(max_epochs=0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "adversary_weight",
+                                   "imbalance_weight"])
+def test_config_rejects_non_finite_or_negative_knobs(field, value):
+    with pytest.raises(ConfigError, match=field):
+        quick_config(**{field: value})
 
 
 def test_config_fingerprint_ignores_field_order():
@@ -223,8 +224,8 @@ def test_step_b_raises_distance_after_factual_training():
 @pytest.mark.parametrize("mode", ["adbcr", "danncr"])
 def test_train_deterministic(bench_dataset, tmp_path, mode):
     config = quick_config(mode=mode)
-    r1 = run_mode(bench_dataset, config, history_path=str(tmp_path / "h1.tsv"))
-    r2 = run_mode(bench_dataset, config, history_path=str(tmp_path / "h2.tsv"))
+    r1 = train(bench_dataset, config, history_path=str(tmp_path / "h1.tsv"))
+    r2 = train(bench_dataset, config, history_path=str(tmp_path / "h2.tsv"))
     assert [rec.criterion for rec in r1.history] == [rec.criterion for rec in r2.history]
     assert r1.best_epoch == r2.best_epoch
     for name in r1.model.params.names():
@@ -234,7 +235,7 @@ def test_train_deterministic(bench_dataset, tmp_path, mode):
 
 @pytest.mark.parametrize("mode", ["adbcr", "danncr"])
 def test_train_best_is_history_min(bench_dataset, mode):
-    result = run_mode(bench_dataset, quick_config(mode=mode, max_epochs=15))
+    result = train(bench_dataset, quick_config(mode=mode, max_epochs=15))
     criteria = [rec.criterion for rec in result.history]
     assert result.best_value == min(criteria)
     assert result.best_epoch == criteria.index(min(criteria)) + 1
@@ -256,7 +257,7 @@ def test_train_patience_stops_run(mode):
     """A criterion that never improves stops after 1 + patience epochs."""
     dataset = small_benchmark(seed=3)
     config = quick_config(mode=mode, learning_rate=1e-20, patience=3, max_epochs=50)
-    result = run_mode(dataset, config)
+    result = train(dataset, config)
     assert result.epochs_run == 1 + 3
     assert result.best_epoch == 1
 
@@ -292,6 +293,28 @@ def test_train_a_tarnet_skips_distance(bench_dataset, tmp_path):
     assert header.split("\t") == ["epoch", "factual", "criterion"]
 
 
+# Checkpoint kind and history.tsv columns that each mode of the table must produce.
+MODE_OUTPUTS = {
+    "adbcr": ("adbcr", ["epoch", "factual", "distance", "criterion"]),
+    "uadbcr": ("adbcr", ["epoch", "factual", "distance", "criterion"]),
+    "a_tarnet": ("adbcr", ["epoch", "factual", "criterion"]),
+    "danncr": ("danncr", ["epoch", "factual", "distance", "criterion"]),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_train_serves_every_mode(bench_dataset, tmp_path, mode):
+    """One train() runs every mode of the table into its own network kind."""
+    kind, columns = MODE_OUTPUTS[mode]
+    result = train(bench_dataset, quick_config(mode=mode, max_epochs=3),
+                   history_path=str(tmp_path / "h.tsv"))
+    result.model.save(str(tmp_path / "model.ckpt"), config=result.config.to_dict())
+    assert load_checkpoint(str(tmp_path / "model.ckpt"))[1]["kind"] == kind
+    lines = (tmp_path / "h.tsv").read_text().splitlines()
+    assert lines[0].split("\t") == columns
+    assert len(lines) == 1 + result.epochs_run
+
+
 def test_train_history_file_schema(bench_dataset, tmp_path):
     path = tmp_path / "h.tsv"
     result = train(bench_dataset, quick_config(max_epochs=4), history_path=str(path))
@@ -302,11 +325,6 @@ def test_train_history_file_schema(bench_dataset, tmp_path):
     assert float(first[1]) == result.history[0].factual
     assert float(first[2]) == result.history[0].distance
     assert float(first[3]) == result.history[0].criterion
-
-
-def test_train_rejects_danncr_mode(bench_dataset):
-    with pytest.raises(ConfigError):
-        train(bench_dataset, quick_config(mode="danncr"))
 
 
 def test_train_requires_split():
