@@ -92,8 +92,8 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
         raise DimensionError(f"lasso_fit got x {x.shape} and y {y.shape}")
     if x.shape[0] < 2:
         raise DatasetError(f"lasso_fit needs at least 2 rows, got {x.shape[0]}")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be non-negative, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     scale = np.where(sd == 0.0, 1.0, sd)

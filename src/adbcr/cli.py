@@ -1,10 +1,14 @@
 """Command-line entry point: generate, train, search, eval.
 
-Every command takes --seed, --out, and optionally --config. Config files
-are flat ``key = value`` text; explicit flags win over file values, file
-values win over defaults. Each command finishes by writing manifest.json
-(atomically) with the effective configuration, paths, tool version, and
-wall-clock duration, so a run can be reproduced from its manifest alone.
+Every command takes --seed, --out, and optionally --config. Each option is
+one Option in a table whose key is both its config-file key and its
+argparse dest; the entry gives its flag, parser, default, help and choices.
+Config files are flat ``key = value`` text, parsed and checked as the flags
+are; flags win over file values, file values over defaults. --seed, --out,
+--config, --data, --mode, --jobs and --checkpoint are flags only. Each
+command finishes by writing manifest.json (atomically) with the effective
+configuration, paths, tool version, and wall-clock duration, so a run can
+be reproduced from its manifest alone.
 
 Exit codes: 0 all artifacts written, 1 runtime failure (divergence,
 search with no usable run, I/O), 2 usage or configuration error.
@@ -17,14 +21,15 @@ import os
 import sys
 import tempfile
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from . import baselines, data, evaluation, trainer
+from . import baselines, data, evaluation, objectives, trainer
 from .errors import AdbcrError, ConfigError, SearchError, TrainingError
 from .evaluation import MetricsReport
-from .model import canonical_fingerprint, load_checkpoint
+from .model import canonical_fingerprint, header_field, load_checkpoint, valid_int, valid_list, valid_real
 
 DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
 
@@ -90,7 +95,31 @@ def parse_architectures(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
-# config files and flag merging
+# option tables, config files and flag merging
+
+class Option(NamedTuple):
+    """One option: its flag, the parser of its text, its default, help and choices."""
+    flag: str
+    parser: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+    def parse(self, text: str):
+        value = self.parser(text)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(self.choices)})")
+        return value
+
+
+def add_options(p: argparse.ArgumentParser, table: dict[str, Option], skip=()) -> None:
+    """Add the flags of table's keys not in skip to p; a flag left out parses to None (absent)."""
+    for key, option in table.items():
+        if key in skip:
+            continue
+        p.add_argument(option.flag, dest=key, type=option.parser, default=None,
+                       choices=option.choices, help=option.help)
+
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -106,28 +135,29 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve_options(args, option_specs: dict) -> dict:
+def resolve_options(args, table: dict[str, Option]) -> dict:
     """Merge flag values, config-file values, and defaults, in that order.
 
-    option_specs maps key -> (parser, default). Flags use key as dest and
-    arrive already typed (None means absent). Unknown config keys fail.
+    Flags use the table key as dest and arrive already parsed and checked
+    (None means absent). A config-file value goes through its option's
+    parser and choices. Unknown config keys fail.
     """
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_values) - set(option_specs)
+    unknown = set(file_values) - set(table)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     out = {}
-    for key, (parser, default) in option_specs.items():
+    for key, option in table.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             out[key] = flag_value
         elif key in file_values:
             try:
-                out[key] = parser(file_values[key])
+                out[key] = option.parse(file_values[key])
             except ValueError as e:
                 raise ConfigError(f"config key {key}: {e}") from None
         else:
-            out[key] = default
+            out[key] = option.default
     return out
 
 
@@ -141,9 +171,22 @@ def _jsonable(value):
     return value
 
 
-def write_manifest(out_dir: str, payload: dict) -> str:
-    path = os.path.join(out_dir, "manifest.json")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".manifest-", suffix=".tmp")
+def write_manifest(args, options: dict, inputs: dict, outputs: dict, started: float,
+                   status: str = "ok", error: str | None = None) -> str:
+    """Write the run's manifest.json into args.out atomically; returns its path."""
+    payload = {
+        "command": args.command,
+        "version": __version__,
+        "seed": args.seed,
+        "config": {k: _jsonable(v) for k, v in options.items()},
+        "inputs": inputs,
+        "outputs": outputs,
+        "duration_seconds": time.monotonic() - started,
+        "status": status,
+        "error": error,
+    }
+    path = os.path.join(args.out, "manifest.json")
+    fd, tmp = tempfile.mkstemp(dir=args.out, prefix=".manifest-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
@@ -156,48 +199,35 @@ def write_manifest(out_dir: str, payload: dict) -> str:
     return path
 
 
-def _manifest(command: str, seed: int, options: dict, inputs: dict,
-              outputs: dict, started: float, status: str = "ok",
-              error: str | None = None) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "config": {k: _jsonable(v) for k, v in options.items()},
-        "inputs": inputs,
-        "outputs": outputs,
-        "duration_seconds": time.monotonic() - started,
-        "status": status,
-        "error": error,
-    }
-
-
-def _print_report(report: MetricsReport) -> None:
-    line = f"{report.split}: n={report.n} factual_mse={report.factual_mse:.6g}"
-    if report.sqrt_pehe is not None:
-        line += f" sqrt_pehe={report.sqrt_pehe:.6g} ate_error={report.ate_error:.6g}"
-    if report.note:
-        line += f" ({report.note})"
-    print(line)
+def _write_reports(path: str, reports: list[MetricsReport]) -> None:
+    """Write report.csv and print one summary line per report."""
+    evaluation.write_reports_csv(path, reports)
+    for report in reports:
+        line = f"{report.split}: n={report.n} factual_mse={report.factual_mse:.6g}"
+        if report.sqrt_pehe is not None:
+            line += f" sqrt_pehe={report.sqrt_pehe:.6g} ate_error={report.ate_error:.6g}"
+        if report.note:
+            line += f" ({report.note})"
+        print(line)
 
 
 # ---------------------------------------------------------------------------
 # generate
 
-GENERATE_SPEC = {
-    "n": (int, 1000),
-    "d": (int, 10),
-    "bias": (float, 1.0),
-    "heterogeneity": (float, 1.0),
-    "noise_sd": (float, 0.5),
-    "nonlinearity": (str, "quadratic"),
-    "base_effect": (float, 2.0),
+GENERATE = {
+    "n": Option("--n", int, 1000),
+    "d": Option("--d", int, 10),
+    "bias": Option("--bias", float, 1.0, "Treatment-assignment bias strength"),
+    "heterogeneity": Option("--heterogeneity", float, 1.0),
+    "noise_sd": Option("--noise-sd", float, 0.5),
+    "nonlinearity": Option("--nonlinearity", str, "quadratic", choices=data.NONLINEARITIES),
+    "base_effect": Option("--base-effect", float, 2.0),
 }
 
 
 def cmd_generate(args) -> int:
     started = time.monotonic()
-    options = resolve_options(args, GENERATE_SPEC)
+    options = resolve_options(args, GENERATE)
     config = data.DgpConfig(
         n=options["n"], d=options["d"], bias_strength=options["bias"],
         effect_heterogeneity=options["heterogeneity"], noise_sd=options["noise_sd"],
@@ -212,9 +242,8 @@ def cmd_generate(args) -> int:
         json.dump({k: _jsonable(v.tolist() if isinstance(v, np.ndarray) else v)
                    for k, v in truth.items()}, f, indent=2, sort_keys=True)
         f.write("\n")
-    manifest_path = write_manifest(args.out, _manifest(
-        "generate", args.seed, options, {},
-        {"dataset": csv_path, "truth": truth_path}, started))
+    manifest_path = write_manifest(args, options, {},
+                                   {"dataset": csv_path, "truth": truth_path}, started)
     print(f"wrote {csv_path} ({dataset.n} rows, {dataset.d} covariates)")
     print(f"wrote {truth_path}")
     print(f"wrote {manifest_path}")
@@ -224,57 +253,61 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-# TrainConfig fields settable from the command line, with TrainConfig's defaults.
-_TRAIN_DEFAULTS = trainer.TrainConfig()
-TRAIN_NET_SPEC = {key: (parser, getattr(_TRAIN_DEFAULTS, key)) for key, parser in {
-    "shared_layers": parse_int_list,
-    "head_layers": parse_int_list,
-    "dropout_p": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "learning_rate": float,
-    "k": int,
-    "adversary_weight": float,
-    "patience": int,
-    "max_epochs": int,
-    "metric": str,
-    "trailing_step_a": parse_bool,
-    "imbalance_weight": float,
-}.items()}
+def _with_train_defaults(table: dict[str, Option]) -> dict[str, Option]:
+    """TrainConfig fields settable from the command line, with TrainConfig's defaults."""
+    defaults = trainer.TrainConfig()
+    return {key: option._replace(default=getattr(defaults, key)) for key, option in table.items()}
 
-TRAIN_DATA_SPEC = {
-    "split_seed": (int, 0),
-    "fractions": (parse_fractions, DEFAULT_FRACTIONS),
-    "unlabeled": (str, "none"),
+
+NET = _with_train_defaults({
+    "shared_layers": Option("--shared-layers", parse_int_list),
+    "head_layers": Option("--head-layers", parse_int_list),
+    "dropout_p": Option("--dropout", float),
+    "weight_decay": Option("--weight-decay", float),
+    "batch_size": Option("--batch-size", int),
+    "learning_rate": Option("--lr", float),
+    "k": Option("--k", int, help="Representation steps per batch"),
+    "adversary_weight": Option("--adversary-weight", float),
+})
+
+# The TrainConfig fields that train and search both take.
+RUN = _with_train_defaults({
+    "patience": Option("--patience", int),
+    "max_epochs": Option("--max-epochs", int),
+    "metric": Option("--metric", str, choices=objectives.METRICS),
+    "trailing_step_a": Option("--trailing-step-a", parse_bool),
+    "imbalance_weight": Option("--imbalance-weight", float),
+})
+
+DATA = {
+    "split_seed": Option("--split-seed", int, 0,
+                         "Seed of the train/validation/test split (default 0)"),
+    "fractions": Option("--fractions", parse_fractions, DEFAULT_FRACTIONS,
+                        "Split fractions train,validation,test (default 0.63,0.27,0.10)"),
+    "unlabeled": Option("--unlabeled", str, "none",
+                        "Strip this split's outcomes into the unlabeled pool", ("none", "test")),
 }
 
-LASSO_SPEC = {
-    "alpha": (float, None),
-    "alpha_grid": (parse_float_list, baselines.DEFAULT_ALPHA_GRID),
+LASSO = {
+    "alpha": Option("--alpha", float, help="Fixed lasso penalty (skips CV)"),
+    "alpha_grid": Option("--alpha-grid", parse_float_list, baselines.DEFAULT_ALPHA_GRID),
 }
 
+TRAIN = {**DATA, **NET, **RUN, **LASSO}
 
-def _load_split_dataset(path: str, split_seed: int, fractions, unlabeled: str) -> data.Dataset:
-    dataset = data.load_csv(path)
-    dataset = data.split(dataset, fractions, split_seed)
-    if unlabeled == "test":
+
+def _load_split_dataset(path: str, options: dict) -> data.Dataset:
+    dataset = data.split(data.load_csv(path), options["fractions"], options["split_seed"])
+    if options["unlabeled"] == "test":
         dataset = data.strip_outcomes(dataset, dataset.indices(data.TEST))
-    elif unlabeled != "none":
-        raise ConfigError(f"unlabeled must be none or test, got {unlabeled!r}")
     return dataset
-
-
-def _failed_report(message: str) -> MetricsReport:
-    return MetricsReport("failed", 0, None, None, float("nan"),
-                         note=f"training failed: {message}")
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    options = resolve_options(args, {**TRAIN_NET_SPEC, **TRAIN_DATA_SPEC, **LASSO_SPEC})
+    options = resolve_options(args, TRAIN)
     mode = args.mode
-    dataset = _load_split_dataset(args.data, options["split_seed"],
-                                  options["fractions"], options["unlabeled"])
+    dataset = _load_split_dataset(args.data, options)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     report_path = os.path.join(args.out, "report.csv")
@@ -293,17 +326,17 @@ def cmd_train(args) -> int:
         print(f"{mode}: alpha={model.alpha:.6g}" if variant == "single"
               else f"{mode}: alpha={model.alpha:.6g} (shared grid choice)")
     else:
-        config = trainer.TrainConfig(**{key: options[key] for key in TRAIN_NET_SPEC},
+        config = trainer.TrainConfig(**{key: options[key] for key in (*NET, *RUN)},
                                      seed=args.seed, mode=mode.replace("-", "_"))
         history_path = os.path.join(args.out, "history.tsv")
         outputs["history"] = history_path
         try:
             result = trainer.train(dataset, config, history_path=history_path)
         except TrainingError as e:
-            evaluation.write_reports_csv(report_path, [_failed_report(str(e))])
-            write_manifest(args.out, _manifest(
-                "train", args.seed, options, {"data": args.data}, outputs,
-                started, status="failed", error=str(e)))
+            evaluation.write_reports_csv(report_path, [MetricsReport(
+                "failed", 0, None, None, float("nan"), note=f"training failed: {e}")])
+            write_manifest(args, options, {"data": args.data}, outputs, started,
+                           status="failed", error=str(e))
             print(f"training failed: {e}", file=sys.stderr)
             return 1
         result.model.save(ckpt_path, config=config.to_dict(),
@@ -316,11 +349,8 @@ def cmd_train(args) -> int:
         print(f"{mode}: best epoch {result.best_epoch} of {result.epochs_run}, "
               f"validation criterion {result.best_value:.6g}")
 
-    evaluation.write_reports_csv(report_path, reports)
-    for report in reports:
-        _print_report(report)
-    manifest_path = write_manifest(args.out, _manifest(
-        "train", args.seed, options, {"data": args.data}, outputs, started))
+    _write_reports(report_path, reports)
+    manifest_path = write_manifest(args, options, {"data": args.data}, outputs, started)
     print(f"wrote {ckpt_path}")
     print(f"wrote {manifest_path}")
     return 0
@@ -329,33 +359,30 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # search
 
-SEARCH_SPACE_SPEC = {
-    "architectures": (parse_architectures, None),
-    "dropout": (parse_float_list, None),
-    "weight_decay": (parse_float_list, None),
-    "batch_size": (parse_int_list, None),
-    "learning_rate": (parse_lr_range, None),
-    "k": (parse_int_list, None),
-    "adversary_weight": (parse_float_list, None),
-    "draws": (int, None),
+# SearchSpace fields; an option left unset keeps SearchSpace's default.
+SEARCH_SPACE = {
+    "draws": Option("--draws", int, help="Random draws per architecture"),
+    "architectures": Option("--architectures", parse_architectures,
+                            help="Comma list of sharedxlayers:headxlayers, "
+                                 "e.g. 50x50:50x50,20x20:10"),
+    "dropout": Option("--dropout", parse_float_list),
+    "weight_decay": Option("--weight-decay", parse_float_list),
+    "batch_size": Option("--batch-size", parse_int_list),
+    "learning_rate": Option("--lr-range", parse_lr_range),
+    "k": Option("--k", parse_int_list),
+    "adversary_weight": Option("--adversary-weight", parse_float_list),
 }
 
-SEARCH_BASE_SPEC = {key: TRAIN_NET_SPEC[key] for key in
-                    ("patience", "max_epochs", "metric", "trailing_step_a", "imbalance_weight")}
+SEARCH = {**DATA, **SEARCH_SPACE, **RUN}
 
 
 def cmd_search(args) -> int:
     started = time.monotonic()
-    options = resolve_options(
-        args, {**SEARCH_SPACE_SPEC, **SEARCH_BASE_SPEC, **TRAIN_DATA_SPEC})
-    dataset = _load_split_dataset(args.data, options["split_seed"],
-                                  options["fractions"], options["unlabeled"])
-    space_kwargs = {key: options[key] for key in
-                    ("architectures", "dropout", "weight_decay", "batch_size",
-                     "learning_rate", "k", "adversary_weight", "draws")
-                    if options[key] is not None}
-    space = evaluation.SearchSpace(**space_kwargs)
-    base = trainer.TrainConfig(**{key: options[key] for key in SEARCH_BASE_SPEC})
+    options = resolve_options(args, SEARCH)
+    dataset = _load_split_dataset(args.data, options)
+    space = evaluation.SearchSpace(**{key: options[key] for key in SEARCH_SPACE
+                                      if options[key] is not None})
+    base = trainer.TrainConfig(**{key: options[key] for key in RUN})
     mode = args.mode.replace("-", "_")
     options["mode"] = args.mode
     options["jobs"] = args.jobs
@@ -363,14 +390,13 @@ def cmd_search(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "runs.csv")
     ckpt_path = os.path.join(args.out, "best.ckpt")
+    outputs = {"run_table": table_path, "best_checkpoint": ckpt_path}
     try:
         result = evaluation.search(dataset, space, mode, args.seed,
                                    jobs=args.jobs, base=base)
     except SearchError as e:
-        write_manifest(args.out, _manifest(
-            "search", args.seed, options, {"data": args.data},
-            {"run_table": table_path, "best_checkpoint": ckpt_path},
-            started, status="failed", error=str(e)))
+        write_manifest(args, options, {"data": args.data}, outputs, started,
+                       status="failed", error=str(e))
         print(f"search failed: {e}", file=sys.stderr)
         return 1
     evaluation.write_run_table(table_path, result)
@@ -383,12 +409,10 @@ def cmd_search(args) -> int:
     print(f"search over {len(result.records)} configs, {completed} completed")
     print(f"best run {result.best_index}: fingerprint {best.config.fingerprint()} "
           f"criterion {best.best_value:.6g}")
-    manifest_path = write_manifest(args.out, _manifest(
-        "search", args.seed,
-        {**options, "best_fingerprint": best.config.fingerprint(),
-         "best_index": result.best_index},
-        {"data": args.data},
-        {"run_table": table_path, "best_checkpoint": ckpt_path}, started))
+    manifest_path = write_manifest(
+        args, {**options, "best_fingerprint": best.config.fingerprint(),
+               "best_index": result.best_index},
+        {"data": args.data}, outputs, started)
     print(f"wrote {table_path}")
     print(f"wrote {ckpt_path}")
     print(f"wrote {manifest_path}")
@@ -398,43 +422,40 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-EVAL_SPEC = {
-    "split_seed": (int, None),
-    "fractions": (parse_fractions, None),
+# Unset, these fall back to the checkpoint's run metadata, then to DATA's defaults.
+EVAL = {
+    "split_seed": Option("--split-seed", int,
+                         help="Override the split seed stored in the checkpoint"),
+    "fractions": Option("--fractions", parse_fractions),
 }
 
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    options = resolve_options(args, EVAL_SPEC)
+    options = resolve_options(args, EVAL)
     model, header = load_checkpoint(args.checkpoint)
     split_seed = options["split_seed"]
     if split_seed is None:
-        split_seed = header.get("data_seed")
-    if split_seed is None:
-        split_seed = 0
+        split_seed = header_field(header, "data_seed", lambda v: v is None or valid_int(v)) or 0
     fractions = options["fractions"]
     if fractions is None:
-        stored = header.get("split_fractions")
+        stored = header_field(header, "split_fractions",
+                              lambda v: v is None or valid_list(v, valid_real, 3))
         fractions = tuple(stored) if stored else DEFAULT_FRACTIONS
-    dataset = data.load_csv(args.data)
-    dataset = data.split(dataset, fractions, int(split_seed))
-    stored_config = header.get("config") or {}
+    dataset = data.split(data.load_csv(args.data), fractions, split_seed)
+    stored_config = header_field(header, "config",
+                                 lambda v: v is None or isinstance(v, dict)) or {}
     reports = evaluation.standard_reports(
         model, dataset, seed=stored_config.get("seed"),
         fingerprint=header.get("fingerprint"),
         validation_criterion=header.get("validation_criterion"))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
-    evaluation.write_reports_csv(report_path, reports)
     print(f"checkpoint kind {header['kind']}")
-    for report in reports:
-        _print_report(report)
-    manifest_path = write_manifest(args.out, _manifest(
-        "eval", args.seed,
-        {**options, "split_seed_used": int(split_seed), "fractions_used": fractions},
-        {"checkpoint": args.checkpoint, "data": args.data},
-        {"report": report_path}, started))
+    _write_reports(report_path, reports)
+    manifest_path = write_manifest(
+        args, {**options, "split_seed_used": split_seed, "fractions_used": fractions},
+        {"checkpoint": args.checkpoint, "data": args.data}, {"report": report_path}, started)
     print(f"wrote {report_path}")
     print(f"wrote {manifest_path}")
     return 0
@@ -450,35 +471,9 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
                    help="Flat key=value config file; flags override it")
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_data(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", type=str, required=True, help="Dataset CSV path")
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None,
-                   help="Seed of the train/validation/test split (default 0)")
-    p.add_argument("--fractions", type=parse_fractions, default=None,
-                   help="Split fractions train,validation,test (default 0.63,0.27,0.10)")
-    p.add_argument("--unlabeled", type=str, default=None, choices=("none", "test"),
-                   help="Strip this split's outcomes into the unlabeled pool")
-
-
-def _add_net_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shared-layers", dest="shared_layers", type=parse_int_list, default=None)
-    p.add_argument("--head-layers", dest="head_layers", type=parse_int_list, default=None)
-    p.add_argument("--dropout", dest="dropout_p", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="Representation steps per batch")
-    p.add_argument("--adversary-weight", dest="adversary_weight", type=float, default=None)
-    _add_run_flags(p)
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The SEARCH_BASE_SPEC flags, which train and search both take."""
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--metric", type=str, default=None, choices=("l1", "squared"))
-    p.add_argument("--trailing-step-a", dest="trailing_step_a", type=parse_bool, default=None)
-    p.add_argument("--imbalance-weight", dest="imbalance_weight", type=float, default=None)
+    add_options(p, DATA)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,48 +486,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="Draw a synthetic benchmark dataset")
     _add_shared(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--bias", type=float, default=None, help="Treatment-assignment bias strength")
-    p.add_argument("--heterogeneity", type=float, default=None)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    p.add_argument("--nonlinearity", type=str, default=None, choices=data.NONLINEARITIES)
-    p.add_argument("--base-effect", dest="base_effect", type=float, default=None)
+    add_options(p, GENERATE)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="Train one configuration")
     _add_shared(p)
-    _add_data_flags(p)
+    _add_data(p)
     p.add_argument("--mode", type=str, default="adbcr", choices=(*net_modes, "s-lasso", "t-lasso"))
-    _add_net_flags(p)
-    p.add_argument("--alpha", type=float, default=None, help="Fixed lasso penalty (skips CV)")
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=parse_float_list, default=None)
+    add_options(p, TRAIN, skip=DATA)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("search", help="Random hyper-parameter search")
     _add_shared(p)
-    _add_data_flags(p)
+    _add_data(p)
     p.add_argument("--mode", type=str, default="adbcr", choices=net_modes)
-    p.add_argument("--draws", type=int, default=None, help="Random draws per architecture")
     p.add_argument("--jobs", type=int, default=1, help="Concurrent training runs")
-    p.add_argument("--architectures", type=parse_architectures, default=None,
-                   help="Comma list of sharedxlayers:headxlayers, e.g. 50x50:50x50,20x20:10")
-    p.add_argument("--dropout", type=parse_float_list, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=parse_float_list, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=parse_int_list, default=None)
-    p.add_argument("--lr-range", dest="learning_rate", type=parse_lr_range, default=None)
-    p.add_argument("--k", type=parse_int_list, default=None)
-    p.add_argument("--adversary-weight", dest="adversary_weight", type=parse_float_list, default=None)
-    _add_run_flags(p)
+    add_options(p, SEARCH, skip=DATA)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="Score a saved checkpoint on a dataset")
     _add_shared(p)
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None,
-                   help="Override the split seed stored in the checkpoint")
-    p.add_argument("--fractions", type=parse_fractions, default=None)
+    add_options(p, EVAL)
     p.set_defaults(func=cmd_eval)
 
     return parser
@@ -543,15 +519,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingError, SearchError) as e:
+    except (TrainingError, SearchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except AdbcrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -179,13 +179,7 @@ class Network:
              validation_criterion: float | None = None,
              data_seed: int | None = None,
              split_fractions: tuple[float, float, float] | None = None) -> None:
-        arch = {
-            "input_dim": self.input_dim,
-            "shared_layers": list(self.shared_layers),
-            "head_layers": list(self.head_layers),
-            "dropout_p": self.dropout_p,
-            "seed": self.seed,
-        }
+        arch = {key: getattr(self, key) for key in NETWORK_ARCH_FIELDS}
         write_checkpoint(path, self.kind, arch, dict(self.params.items()),
                          {"scalers": _scalers_to_header(self.scalers)},
                          config=config, validation_criterion=validation_criterion,

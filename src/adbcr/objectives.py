@@ -35,15 +35,13 @@ class BatchView:
     """Aligned standardized covariates, treatments, and standardized outcomes.
 
     unlabeled_x optionally carries outcome-free covariate rows that join
-    every head pair's distance pool. rows optionally records the source
-    indices of the labeled rows for instrumentation.
+    every head pair's distance pool.
     """
 
     x: np.ndarray
     t: np.ndarray
     y: np.ndarray
     unlabeled_x: np.ndarray | None = None
-    rows: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.x.shape[0]

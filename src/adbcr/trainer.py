@@ -156,7 +156,6 @@ def make_batches(view: BatchView, batch_size: int, rng: np.random.Generator) -> 
             t=view.t[rows],
             y=view.y[rows],
             unlabeled_x=None if cu is None or cu.size == 0 else view.unlabeled_x[cu],
-            rows=None if view.rows is None else view.rows[rows],
         ))
     return batches
 
@@ -235,7 +234,6 @@ def labeled_view(dataset: Dataset, split: int, scalers: Scalers,
         t=dataset.t[rows],
         y=scalers.standardize_y(dataset.y_factual[rows]),
         unlabeled_x=unlabeled_x,
-        rows=rows,
     )
 
 

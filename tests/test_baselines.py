@@ -137,6 +137,13 @@ def test_lasso_input_validation():
         lasso_fit(x[:1], y[:1], 0.1)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_lasso_rejects_non_finite_alpha(alpha):
+    x, y = regression_problem()
+    with pytest.raises(ConfigError, match="alpha"):
+        lasso_fit(x, y, alpha)
+
+
 def test_coordinate_descent_zero_column_stays_zero():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(20, 2))

@@ -130,6 +130,17 @@ def test_train_slasso_fixed_alpha(benchmark_csv, tmp_path):
     assert model.alpha == 0.5
 
 
+@pytest.mark.parametrize("mode, flag, value", [("s-lasso", "--alpha", "nan"),
+                                               ("s-lasso", "--alpha", "inf"),
+                                               ("t-lasso", "--alpha-grid", "nan,1"),
+                                               ("t-lasso", "--alpha-grid", "inf,1")])
+def test_train_non_finite_alpha_is_usage_error(benchmark_csv, tmp_path, capsys, mode, flag, value):
+    out = tmp_path / "t"
+    assert run(["train", "--data", benchmark_csv, "--out", out, "--mode", mode, flag, value]) == 2
+    assert not (out / "model.ckpt").exists()
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_train_missing_data_is_runtime_error(tmp_path):
     assert run(["train", "--data", tmp_path / "absent.csv",
                 "--out", tmp_path / "t"]) == 1
@@ -173,6 +184,54 @@ def test_config_file_with_flag_override(benchmark_csv, tmp_path):
     assert options["learning_rate"] == 0.005
     assert options["batch_size"] == 40
     assert options["max_epochs"] == 2
+
+
+# A value per option key, unlike its default; search's learning_rate is a range.
+OPTION_TEXT = {
+    "n": "70", "d": "4", "bias": "0.5", "heterogeneity": "2.5", "noise_sd": "0.25",
+    "nonlinearity": "exp", "base_effect": "1.5",
+    "split_seed": "7", "fractions": "0.5,0.3,0.2", "unlabeled": "test",
+    "shared_layers": "8,8", "head_layers": "6", "dropout_p": "0.2", "weight_decay": "0.02",
+    "batch_size": "40", "learning_rate": "0.005", "k": "2", "adversary_weight": "0.3",
+    "patience": "4", "max_epochs": "7", "metric": "squared", "trailing_step_a": "false",
+    "imbalance_weight": "0.5", "alpha": "0.5", "alpha_grid": "0.1,1",
+    "draws": "3", "architectures": "8:6,4x4:2", "dropout": "0.1,0.2",
+}
+COMMAND_TABLES = {"generate": cli.GENERATE, "train": cli.TRAIN, "search": cli.SEARCH,
+                  "eval": cli.EVAL}
+REQUIRED_ARGS = {"generate": ["--out", "o"], "train": ["--out", "o", "--data", "d.csv"],
+                 "search": ["--out", "o", "--data", "d.csv"],
+                 "eval": ["--out", "o", "--data", "d.csv", "--checkpoint", "m.ckpt"]}
+
+
+@pytest.mark.parametrize("command, key", [(command, key)
+                                          for command, table in COMMAND_TABLES.items()
+                                          for key in table])
+def test_option_from_flag_equals_option_from_config_file(tmp_path, command, key):
+    table = COMMAND_TABLES[command]
+    text = "0.001,0.01" if (command, key) == ("search", "learning_rate") else OPTION_TEXT[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n")
+    parser = cli.build_parser()
+    from_flag = cli.resolve_options(
+        parser.parse_args([command, *REQUIRED_ARGS[command], table[key].flag, text]), table)
+    from_file = cli.resolve_options(
+        parser.parse_args([command, *REQUIRED_ARGS[command], "--config", str(config)]), table)
+    assert from_flag == from_file
+    assert from_flag[key] != table[key].default
+
+
+@pytest.mark.parametrize("command, key, value", [("train", "unlabeled", "foo"),
+                                                 ("train", "metric", "l3"),
+                                                 ("generate", "nonlinearity", "cubic")])
+def test_config_file_value_outside_choices(benchmark_csv, tmp_path, capsys, command, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    data_args = ["--data", benchmark_csv] if command == "train" else []
+    out = tmp_path / "o"
+    assert run([command, "--out", out, *data_args, "--config", config]) == 2
+    assert f"config key {key}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_config_file_unknown_key(benchmark_csv, tmp_path):
@@ -260,6 +319,28 @@ def test_eval_checkpoint_lacking_header_field_is_usage_error(benchmark_csv, tmp_
     assert run(["eval", "--checkpoint", train_out / "model.ckpt",
                 "--data", benchmark_csv, "--out", tmp_path / "e"]) == 2
     assert "'arch.variant'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def adbcr_checkpoint(benchmark_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("adbcr")
+    assert run(["train", "--data", benchmark_csv, "--out", out, *NET_FLAGS]) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("data_seed", "x"), ("data_seed", -1), ("data_seed", [1]), ("data_seed", 1.5),
+    ("split_fractions", [0.5, "a", 0.5]), ("split_fractions", 7), ("config", [1]),
+])
+def test_eval_bad_run_metadata_is_usage_error(benchmark_csv, adbcr_checkpoint, tmp_path,
+                                              capsys, field, value):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(adbcr_checkpoint.read_bytes())
+    rewrite_with(str(ckpt), field, value)
+    out = tmp_path / "e"
+    assert run(["eval", "--checkpoint", ckpt, "--data", benchmark_csv, "--out", out]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
 
 
 def test_eval_checkpoint_bad_header_value_is_usage_error(benchmark_csv, tmp_path, capsys):

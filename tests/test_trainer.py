@@ -76,11 +76,10 @@ def test_batches_partition_rows():
     rng = np.random.default_rng(0)
     t = np.zeros(100, dtype=np.int64)
     t[rng.permutation(100)[:50]] = 1
-    view = BatchView(x=rng.normal(size=(100, 2)), t=t, y=rng.normal(size=100),
-                     rows=np.arange(100))
+    view = BatchView(x=np.arange(100.0).reshape(100, 1), t=t, y=rng.normal(size=100))
     batches = make_batches(view, 25, np.random.default_rng(1))
     assert len(batches) == 4
-    seen = np.concatenate([b.rows for b in batches])
+    seen = np.concatenate([b.x[:, 0] for b in batches])
     assert sorted(seen) == list(range(100))
 
 
