@@ -445,10 +445,13 @@ def cmd_eval(args) -> int:
     dataset = data.split(data.load_csv(args.data), fractions, split_seed)
     stored_config = header_field(header, "config",
                                  lambda v: v is None or isinstance(v, dict)) or {}
+    seed = (header_field(header, "config.seed", lambda v: v is None or valid_int(v))
+            if "seed" in stored_config else None)
     reports = evaluation.standard_reports(
-        model, dataset, seed=stored_config.get("seed"),
-        fingerprint=header.get("fingerprint"),
-        validation_criterion=header.get("validation_criterion"))
+        model, dataset, seed=seed,
+        fingerprint=header_field(header, "fingerprint", lambda v: v is None or isinstance(v, str)),
+        validation_criterion=header_field(header, "validation_criterion",
+                                          lambda v: v is None or valid_real(v)))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
     print(f"checkpoint kind {header['kind']}")

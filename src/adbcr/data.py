@@ -2,9 +2,11 @@
 
 The CSV interchange schema is flat: a header row naming `t`, `y_factual`,
 optionally `y_cfactual`, `mu0`, `mu1`, and then one column per covariate
-(any names, order preserved). Floats are serialized with 17 significant
-digits so a save/load round trip is exact. Split assignment, stripping
-state, and generator propensities live in memory only.
+(any names, order preserved); a name may appear only once. Lines end in
+CRLF, as csv's excel dialect writes them. Floats are serialized with 17
+significant digits so a save/load round trip is exact; a cell loads as
+Python's float() reads it. Split assignment, stripping state, and
+generator propensities live in memory only.
 """
 from __future__ import annotations
 
@@ -31,6 +33,9 @@ EXP_SCALE = 0.5
 PROPENSITY_CLIP = (0.05, 0.95)
 
 NONLINEARITIES = ("linear", "quadratic", "exp")
+
+# Rows save_csv formats per write, so its temporaries stay small at any n.
+CSV_WRITE_ROWS = 64
 
 
 @dataclass
@@ -280,7 +285,7 @@ def strip_outcomes(dataset: Dataset, rows: np.ndarray) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
-    """Write the interchange CSV; floats carry 17 significant digits."""
+    """Write the interchange CSV: CRLF line ends, floats with 17 significant digits."""
     columns = ["t", "y_factual"]
     values = [dataset.t, dataset.y_factual]
     for name, arr in (("y_cfactual", dataset.y_cf), ("mu0", dataset.mu0),
@@ -288,21 +293,21 @@ def save_csv(dataset: Dataset, path: str) -> None:
         if arr is not None:
             columns.append(name)
             values.append(arr)
-    covariates = [f"x{j}" for j in range(dataset.d)]
+    columns += [f"x{j}" for j in range(dataset.d)]
+    # The bytes csv.writer (excel dialect) writes: no cell needs quoting.
+    line = "%d" + ",%.17g" * (len(columns) - 1) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns + covariates)
-        for i in range(dataset.n):
-            row = [str(int(dataset.t[i]))]
-            row += [format(v[i], ".17g") for v in values[1:]]
-            row += [format(v, ".17g") for v in dataset.x[i]]
-            writer.writerow(row)
+        f.write(",".join(columns) + "\r\n")
+        for start in range(0, dataset.n, CSV_WRITE_ROWS):
+            block = np.column_stack([v[start:start + CSV_WRITE_ROWS] for v in (*values, dataset.x)])
+            f.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
 def load_csv(path: str) -> Dataset:
     """Parse the interchange CSV; errors carry the offending row and column.
 
-    Every cell must hold a finite number; nan and inf are rejected.
+    Header names must be unique. Every cell must hold a number that
+    Python's float() accepts and that is finite; nan and inf are rejected.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -311,6 +316,9 @@ def load_csv(path: str) -> Dataset:
         except StopIteration:
             raise ParseError(f"{path!r} is empty") from None
         header = [h.strip() for h in header]
+        for name in header:
+            if header.count(name) > 1:
+                raise ParseError("duplicate column name", column=name)
         for mandatory in ("t", "y_factual"):
             if mandatory not in header:
                 raise ParseError(f"missing mandatory column", column=mandatory)
@@ -322,18 +330,26 @@ def load_csv(path: str) -> Dataset:
         if not covariate_cols:
             raise ParseError("no covariate columns found")
         col_index = {name: header.index(name) for name in header}
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(record)}", row=line_no)
-            rows.append(record)
+        rows = list(reader)
+    ragged = next((i for i, record in enumerate(rows) if len(record) != len(header)), None)
+    if ragged is not None:
+        raise ParseError(f"expected {len(header)} fields, got {len(rows[ragged])}",
+                         row=ragged + 2)
     n = len(rows)
     if n == 0:
         raise ParseError(f"{path!r} has a header but no rows")
+    try:
+        table = np.array(rows, dtype=np.float64)
+        if np.isfinite(table).all():
+            rows = None   # every cell is good; free the strings
+    except ValueError:
+        pass
 
     def column(name: str) -> np.ndarray:
         j = col_index[name]
+        if rows is None:
+            return table[:, j].copy()
+        # Some cell is bad: find the first one, column by column, to name it.
         out = np.empty(n)
         for i, record in enumerate(rows):
             try:

@@ -71,19 +71,26 @@ def _nearest(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float:
+def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.ndarray:
     """Effect error against nearest-neighbour-imputed counterfactual outcomes.
 
     Distances are Euclidean on covariates standardized over the given rows;
     ties break toward the lowest row index. Memory stays within about
     NN_BLOCK_BYTES whatever the number of rows.
+
+    tau_hat is one estimate, shape (n,), scored as a float; or k estimates
+    stacked as (k, n), scored as an array of k floats against one
+    neighbour search, each equal to the float its row alone would give.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t)
     y = np.asarray(y, dtype=np.float64)
-    tau = np.asarray(tau_hat, dtype=np.float64).reshape(-1)
+    tau = np.asarray(tau_hat, dtype=np.float64)
     n = x.shape[0]
-    if t.shape != (n,) or y.shape != (n,) or tau.shape != (n,):
+    stacked = tau.ndim == 2 and tau.shape[1] == n
+    if not stacked:
+        tau = tau.reshape(-1)
+    if t.shape != (n,) or y.shape != (n,) or tau.shape[-1:] != (n,):
         raise DimensionError("nn_pehe inputs misaligned")
     arm1 = np.flatnonzero(t == 1)
     arm0 = np.flatnonzero(t == 0)
@@ -97,7 +104,9 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float:
     for rows, opposite in ((arm1, arm0), (arm0, arm1)):
         imputed[rows] = y[opposite[_nearest(z[rows], z[opposite])]]
     tau_tilde = np.where(t == 1, y - imputed, imputed - y)
-    return float(np.mean((tau_tilde - tau) ** 2))
+    if not stacked:
+        return float(np.mean((tau_tilde - tau) ** 2))
+    return np.array([np.mean((tau_tilde - row) ** 2) for row in tau])
 
 
 @dataclass
@@ -301,16 +310,21 @@ def search(dataset: Dataset, space: SearchSpace, mode: str, seed: int,
 
 
 def select_by_nn_pehe(result: SearchResult, dataset: Dataset) -> int:
-    """Index of the run whose validation-split effects best match the proxy."""
+    """Index of the run whose validation-split effects best match the proxy.
+
+    Runs whose score is NaN are skipped; equal scores go to the lower index.
+    """
     rows = dataset.labeled_indices(VAL)
     x, t, y = dataset.x[rows], dataset.t[rows], dataset.y_factual[rows]
+    effects = {}
+    for i, res in enumerate(result.results):
+        if res is not None:
+            y0, y1 = res.model.predict_potential_outcomes(x)
+            effects[i] = y1 - y0
+    scores = nn_pehe(x, t, y, np.stack(list(effects.values()))) if effects else []
     best_index = -1
     best_score = math.inf
-    for i, res in enumerate(result.results):
-        if res is None:
-            continue
-        y0, y1 = res.model.predict_potential_outcomes(x)
-        score = nn_pehe(x, t, y, y1 - y0)
+    for i, score in zip(effects, scores):
         if score < best_score:
             best_score = score
             best_index = i

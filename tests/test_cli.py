@@ -331,6 +331,7 @@ def adbcr_checkpoint(benchmark_csv, tmp_path_factory):
 @pytest.mark.parametrize("field, value", [
     ("data_seed", "x"), ("data_seed", -1), ("data_seed", [1]), ("data_seed", 1.5),
     ("split_fractions", [0.5, "a", 0.5]), ("split_fractions", 7), ("config", [1]),
+    ("validation_criterion", "x"), ("fingerprint", 5), ("config.seed", "x"),
 ])
 def test_eval_bad_run_metadata_is_usage_error(benchmark_csv, adbcr_checkpoint, tmp_path,
                                               capsys, field, value):

@@ -1,9 +1,14 @@
 """Synthetic generator, splitting, outcome stripping, and CSV interchange."""
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from adbcr.data import (TEST, TRAIN, VAL, Dataset, DgpConfig, generate, load_csv,
-                        save_csv, split, strip_outcomes)
+from adbcr.data import (CSV_WRITE_ROWS, TEST, TRAIN, VAL, Dataset, DgpConfig, generate,
+                        load_csv, save_csv, split, strip_outcomes)
 from adbcr.errors import ConfigError, DatasetError, ParseError
 
 
@@ -305,3 +310,136 @@ def test_csv_degenerate_files(tmp_path):
     no_covariates.write_text("t,y_factual\n0,1.0\n")
     with pytest.raises(ParseError):
         load_csv(str(no_covariates))
+
+
+@pytest.mark.parametrize("name", ["x0", "t", "y_factual"])
+def test_csv_duplicate_header_rejected(tmp_path, name):
+    path = tmp_path / "dup.csv"
+    path.write_text(f"t,y_factual,x0,{name}\n0,1.0,2.0,0\n")
+    with pytest.raises(ParseError, match="duplicate") as err:
+        load_csv(str(path))
+    assert err.value.column == name
+
+
+# ---------------------------------------------------------------------------
+# CSV properties against per-cell references
+
+def save_csv_reference(dataset: Dataset, path: str) -> None:
+    """The interchange CSV written cell by cell through csv.writer."""
+    columns = ["t", "y_factual"]
+    values = [dataset.t, dataset.y_factual]
+    for name, arr in (("y_cfactual", dataset.y_cf), ("mu0", dataset.mu0),
+                      ("mu1", dataset.mu1)):
+        if arr is not None:
+            columns.append(name)
+            values.append(arr)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns + [f"x{j}" for j in range(dataset.d)])
+        for i in range(dataset.n):
+            row = [str(int(dataset.t[i]))]
+            row += [format(v[i], ".17g") for v in values[1:]]
+            row += [format(v, ".17g") for v in dataset.x[i]]
+            writer.writerow(row)
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               1.7e308, -1.7e308, 1.7976931348623157e308)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    column = arrays(np.float64, n, elements=finite_floats)
+    truth = draw(st.booleans())
+    return Dataset(
+        x=draw(arrays(np.float64, (n, d), elements=finite_floats)),
+        t=draw(arrays(np.int64, n, elements=st.integers(0, 1))),
+        y_factual=draw(column),
+        y_cf=draw(column) if truth else None,
+        mu0=draw(column) if truth else None,
+        mu1=draw(column) if truth else None)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=datasets())
+def test_csv_round_trip_bit_exact_and_writer_bytes(tmp_path, ds):
+    path, reference = str(tmp_path / "d.csv"), str(tmp_path / "ref.csv")
+    save_csv(ds, path)
+    save_csv_reference(ds, reference)
+    assert open(path, "rb").read() == open(reference, "rb").read()
+    back = load_csv(path)
+    for name in ("x", "t", "y_factual", "y_cf", "mu0", "mu1"):
+        saved, loaded = getattr(ds, name), getattr(back, name)
+        if saved is None:
+            assert loaded is None
+        else:
+            assert loaded.dtype == saved.dtype and loaded.shape == saved.shape
+            assert loaded.tobytes() == saved.tobytes()
+
+
+def test_csv_bytes_match_writer_across_write_blocks(tmp_path):
+    ds, _ = make(n=2 * CSV_WRITE_ROWS + 3, seed=5)
+    path, reference = str(tmp_path / "d.csv"), str(tmp_path / "ref.csv")
+    save_csv(ds, path)
+    save_csv_reference(ds, reference)
+    assert open(path, "rb").read() == open(reference, "rb").read()
+    assert load_csv(path).x.tobytes() == ds.x.tobytes()
+
+
+SPELLINGS = ("1_000", " 2.5 ", "+1", "1e400", "nan", "0x10", "", "\u0663",
+             "\uff11\uff12", "-0", "1e-320", "-Infinity", "1__0", " ", "abc", "0.5", "1")
+CELL_COLUMNS = ("t", "y_factual", "x0", "x1")
+
+
+def load_outcome_reference(table: list[list[str]]):
+    """What a per-cell float() parse of CELL_COLUMNS must give.
+
+    Columns are read in load_csv's order (t, its 0/1 check, the
+    covariates, y_factual); within a column the first cell that float()
+    rejects is reported before the first non-finite one. Returns
+    ("error", row, column) or ("ok", {column: values}).
+    """
+    values = {}
+    for name in ("t", "x0", "x1", "y_factual"):
+        j = CELL_COLUMNS.index(name)
+        cells = [row[j] for row in table]
+        parsed = []
+        for i, cell in enumerate(cells):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                return "error", i + 2, name
+        for i, value in enumerate(parsed):
+            if not np.isfinite(value):
+                return "error", i + 2, name
+        if name == "t":
+            for i, value in enumerate(parsed):
+                if value not in (0.0, 1.0):
+                    return "error", i + 2, name
+        values[name] = np.array(parsed)
+    return "ok", values
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=st.lists(st.lists(st.sampled_from(SPELLINGS) | st.sampled_from(("0", "1")),
+                               min_size=4, max_size=4), min_size=1, max_size=4))
+def test_csv_cell_spellings_match_float(tmp_path, table):
+    path = tmp_path / "cells.csv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([CELL_COLUMNS, *table])
+    expected = load_outcome_reference(table)
+    if expected[0] == "error":
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path))
+        assert (err.value.row, err.value.column) == expected[1:]
+        return
+    back = load_csv(str(path))
+    values = expected[1]
+    assert back.t.tobytes() == values["t"].astype(np.int64).tobytes()
+    assert back.y_factual.tobytes() == values["y_factual"].tobytes()
+    assert back.x.tobytes() == np.column_stack([values["x0"], values["x1"]]).tobytes()

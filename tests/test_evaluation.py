@@ -1,13 +1,14 @@
 """Effect metrics, report tables, and hyper-parameter search."""
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adbcr import data
+from adbcr import data, evaluation
 from adbcr.errors import ConfigError, DimensionError, DomainError, SearchError
 from adbcr.evaluation import (REPORT_COLUMNS, RUN_TABLE_COLUMNS, MetricsReport,
-                              SearchSpace, ate_error, evaluate_model, nn_pehe,
+                              SearchResult, SearchSpace, ate_error, evaluate_model, nn_pehe,
                               pehe, sample_configs, search, select_by_nn_pehe,
                               standard_reports, write_reports_csv, write_run_table)
 from adbcr.trainer import TrainConfig, train
@@ -152,6 +153,23 @@ def test_nn_pehe_bounded_memory_with_ties():
         tracemalloc.stop()
     assert peak < NN_PEHE_PEAK_CEILING, f"peak {peak / 2 ** 20:.1f} MiB"
     np.testing.assert_allclose(value, nn_pehe_oracle(x, t, y, tau_hat), rtol=1e-12)
+
+
+def test_nn_pehe_stacked_estimates_match_single_calls():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(30, 3))
+    t = np.tile([0, 1], 15)
+    y = rng.normal(size=30)
+    taus = rng.normal(size=(4, 30))
+    taus[2, 5] = np.nan
+    scores = nn_pehe(x, t, y, taus)
+    assert scores.shape == (4,)
+    for score, tau_hat in zip(scores, taus):
+        single = nn_pehe(x, t, y, tau_hat)
+        assert isinstance(single, float)
+        assert np.array_equal(score, single, equal_nan=True)
+    with pytest.raises(DimensionError):
+        nn_pehe(x, t, y, taus[:, :-1])
 
 
 def test_nn_pehe_needs_both_arms():
@@ -337,6 +355,65 @@ def test_select_by_nn_pehe_matches_manual(bench_dataset):
         y0, y1 = res.model.predict_potential_outcomes(x)
         scores.append(nn_pehe(x, t, y, y1 - y0))
     assert select_by_nn_pehe(result, bench_dataset) == int(np.argmin(scores))
+
+
+def test_select_by_nn_pehe_one_search_bit_equal_scores(bench_dataset, monkeypatch):
+    """One neighbour search per selection, scores bit-equal to per-run 1-D calls."""
+    space = tiny_space(learning_rate=(1e-4, 1e-2), draws=3)
+    result = search(bench_dataset, space, "adbcr", seed=4, base=search_base())
+    rows = bench_dataset.labeled_indices(data.VAL)
+    x, t, y = bench_dataset.x[rows], bench_dataset.t[rows], bench_dataset.y_factual[rows]
+    singles = []
+    for res in result.results:
+        y0, y1 = res.model.predict_potential_outcomes(x)
+        singles.append(nn_pehe(x, t, y, y1 - y0))
+    searches, scores = [], []
+    nearest, score_all = evaluation._nearest, evaluation.nn_pehe
+
+    def counted_nearest(queries, pool):
+        searches.append(queries.shape[0])
+        return nearest(queries, pool)
+
+    def recorded_nn_pehe(*args):
+        scores.append(score_all(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(evaluation, "_nearest", counted_nearest)
+    monkeypatch.setattr(evaluation, "nn_pehe", recorded_nn_pehe)
+    pick = select_by_nn_pehe(result, bench_dataset)
+    assert len(searches) == 2
+    assert scores[0].tobytes() == np.array(singles).tobytes()
+    assert pick == int(np.argmin(singles))
+
+
+class FixedEffect:
+    """A stand-in fitted model whose effect estimate is a fixed function of x."""
+
+    def __init__(self, effect):
+        self.effect = effect
+
+    def predict_potential_outcomes(self, x):
+        return np.zeros(x.shape[0]), self.effect(x)
+
+
+def fixed_result(effects) -> SearchResult:
+    results = [None if e is None else SimpleNamespace(model=FixedEffect(e)) for e in effects]
+    return SearchResult("adbcr", [], results, 0)
+
+
+def test_select_by_nn_pehe_skips_nan_and_breaks_ties_low(bench_dataset):
+    good = lambda x: x[:, 0]
+    result = fixed_result([None, lambda x: np.full(x.shape[0], np.nan), lambda x: x[:, 1],
+                           good, good, lambda x: x[:, 1]])
+    rows = bench_dataset.labeled_indices(data.VAL)
+    x, t, y = bench_dataset.x[rows], bench_dataset.t[rows], bench_dataset.y_factual[rows]
+    assert nn_pehe(x, t, y, x[:, 0]) < nn_pehe(x, t, y, x[:, 1])
+    assert select_by_nn_pehe(result, bench_dataset) == 3
+    with pytest.raises(SearchError, match="no usable runs"):
+        select_by_nn_pehe(fixed_result([None, None]), bench_dataset)
+    with pytest.raises(SearchError, match="no usable runs"):
+        select_by_nn_pehe(fixed_result([lambda x: np.full(x.shape[0], np.nan)]),
+                          bench_dataset)
 
 
 def test_run_table_format(bench_dataset, tmp_path):
