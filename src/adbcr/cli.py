@@ -16,8 +16,10 @@ search with no usable run, I/O), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -517,7 +519,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters and the values retain_freed_heap() gives them.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD_BYTES = 8 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def retain_freed_heap() -> bool:
+    """Keep freed heap memory in the process instead of handing it back each step.
+
+    Every training step builds a tape and frees it; by default glibc then
+    returns the top of the heap to the kernel and faults it back in page by
+    page on the next step. This keeps up to TRIM_THRESHOLD_BYTES of free
+    heap per malloc arena. Any mallopt call switches off glibc's dynamic
+    mmap threshold, so that one is pinned at the ceiling the dynamic rule
+    climbs to on 64-bit. Process-wide, idempotent, cannot be undone, and
+    changes no result. Returns False, changing nothing, off glibc or where
+    libc has no mallopt.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+                and mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES))
+
+
 def main(argv: list[str] | None = None) -> int:
+    retain_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -308,8 +308,10 @@ def load_csv(path: str) -> Dataset:
 
     Header names must be unique. Every cell must hold a number that
     Python's float() accepts and that is finite; nan and inf are rejected.
+    A leading UTF-8 byte-order mark, as spreadsheet programs write one, is
+    dropped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -9,6 +9,7 @@ from conftest import finite_difference, forward_head, lasso_cate, rel_err
 from adbcr import data, objectives
 from adbcr.autodiff import Adam, Tape, grads_for
 from adbcr.baselines import fit_lasso_on_dataset, lasso_fit
+from adbcr.cli import retain_freed_heap
 from adbcr.evaluation import (SearchSpace, ate_error, nn_pehe, pehe, search,
                               select_by_nn_pehe)
 from adbcr.model import AdbcrModel, Scalers, load_model
@@ -62,7 +63,11 @@ def bench_dataset() -> data.Dataset:
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Per-seed (adbcr, a_tarnet, proxy-selected) test-split errors plus wall time."""
+    """Per-seed (adbcr, a_tarnet, proxy-selected) test-split errors plus wall time.
+
+    Runs with the allocator setting the CLI makes, as `adbcr search` would.
+    """
+    retain_freed_heap()
     start = time.time()
     records = []
     for seed in BENCH_SEEDS:

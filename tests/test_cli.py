@@ -1,9 +1,16 @@
 """Command-line entry points, exercised in process."""
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import adbcr
 from adbcr import cli, data
 from adbcr.model import load_model
 
@@ -392,3 +399,79 @@ def test_train_and_search_share_run_flags(flag, value, dest, parsed):
     for command in ("train", "search"):
         args = parser.parse_args([command, "--out", "o", "--data", "d.csv", flag, value])
         assert getattr(args, dest) == parsed
+
+
+# ---------------------------------------------------------------------------
+# allocator setting
+
+def run_fresh(script: str, *args) -> str:
+    """Run a Python script in a fresh interpreter with glibc's malloc defaults; its stdout."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(adbcr.__file__))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# One training step's tape in miniature: 40 arrays of 100 KB, all freed at its end.
+STEP_FAULTS = """
+    import resource, sys
+    import numpy as np
+    from adbcr.cli import retain_freed_heap
+
+    if sys.argv[1] == "1":
+        assert retain_freed_heap()
+
+    def rounds(k):
+        for _ in range(k):
+            arrays = [np.ones(12_500) for _ in range(40)]
+            del arrays
+
+    rounds(2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rounds(50)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's")
+def test_retain_freed_heap_ends_per_step_page_faults():
+    without = int(run_fresh(STEP_FAULTS, 0))
+    with_setting = int(run_fresh(STEP_FAULTS, 1))
+    assert with_setting * 10 < without
+
+
+def test_retain_freed_heap_without_mallopt_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert cli.retain_freed_heap() is False
+
+
+TRAIN_ARGV = ["--shared-layers", "8", "--head-layers", "6", "--batch-size", "40",
+              "--max-epochs", "4", "--patience", "4", "--seed", "3"]
+
+# cmd_train's network path, through the library only: retain_freed_heap never runs.
+LIBRARY_TRAIN = """
+    import sys
+    from adbcr import cli, trainer
+
+    data_path, ckpt_path, *flags = sys.argv[1:]
+    args = cli.build_parser().parse_args(["train", "--data", data_path, "--out", "o", *flags])
+    options = cli.resolve_options(args, cli.TRAIN)
+    dataset = cli._load_split_dataset(data_path, options)
+    config = trainer.TrainConfig(**{key: options[key] for key in (*cli.NET, *cli.RUN)},
+                                 seed=args.seed, mode="adbcr")
+    result = trainer.train(dataset, config)
+    result.model.save(ckpt_path, config=config.to_dict(), validation_criterion=result.best_value,
+                      data_seed=options["split_seed"], split_fractions=options["fractions"])
+"""
+
+
+def test_cli_checkpoint_equals_library_checkpoint_bytes(benchmark_csv, tmp_path):
+    """The allocator setting of cli.main changes no bit of what training writes."""
+    out = tmp_path / "cli"
+    run_fresh("import sys\nfrom adbcr import cli\nsys.exit(cli.main(sys.argv[1:]))",
+              "train", "--data", benchmark_csv, "--out", out, *TRAIN_ARGV)
+    library = tmp_path / "library.ckpt"
+    run_fresh(LIBRARY_TRAIN, benchmark_csv, library, *TRAIN_ARGV)
+    assert (out / "model.ckpt").read_bytes() == library.read_bytes()

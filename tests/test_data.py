@@ -289,6 +289,17 @@ def test_csv_unpaired_surfaces(tmp_path):
         load_csv(str(path))
 
 
+def test_csv_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = "t,y_factual,x0\r\n1,0.5,2\r\n0,1.5,-3\r\n".encode("utf-8")
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    a, b = load_csv(str(plain)), load_csv(str(marked))
+    for name in ("x", "t", "y_factual"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert b.y_cf is None and b.mu0 is None and b.mu1 is None
+
+
 def test_csv_ragged_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,y_factual,x0\n0,1.0\n")

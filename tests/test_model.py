@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
@@ -247,6 +249,40 @@ def saved_kind(kind: str, path: str) -> str:
     fit_lasso(rng.normal(size=(20, 3)), np.arange(20) % 2, rng.normal(size=20),
               "per_treatment", alpha=0.1).save(path)
     return "w1"
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blobs(tmp_path_factory) -> dict[str, bytes]:
+    """The bytes of one small checkpoint of each kind."""
+    root = tmp_path_factory.mktemp("blobs")
+    blobs = {}
+    for kind in ("adbcr", "danncr", "lasso"):
+        saved_kind(kind, str(root / kind))
+        blobs[kind] = (root / kind).read_bytes()
+    return blobs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("adbcr", "danncr", "lasso")), data=st.data())
+def test_damaged_checkpoint_raises_only_checkpoint_error(checkpoint_blobs, tmp_path_factory,
+                                                         kind, data):
+    """A truncated file always fails with CheckpointError; 1-3 flipped bits either
+    fail with it or load (parameter bytes carry no checksum)."""
+    blob = bytearray(checkpoint_blobs[kind])
+    truncate = data.draw(st.booleans())
+    if truncate:
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                      min_size=1, max_size=3, unique=True)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+    path.write_bytes(blob)
+    try:
+        load_model(str(path))
+    except CheckpointError:
+        return
+    assert not truncate, "a truncated checkpoint loaded"
 
 
 @pytest.mark.parametrize("defect", ["missing", "extra", "misshaped"])

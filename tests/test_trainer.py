@@ -1,6 +1,10 @@
 """Training loop: batching, the three steps, early stopping, determinism."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adbcr import data, objectives
 from adbcr.autodiff import Adam
@@ -127,6 +131,33 @@ def test_batches_rng_untouched_without_unlabeled():
     for ba, bb in zip(a, b):
         np.testing.assert_array_equal(ba.x, bb.x)
         assert ba.n_unlabeled == bb.n_unlabeled == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_t=st.integers(2, 40), n_c=st.integers(2, 40), batch_size=st.integers(2, 90),
+       n_unlabeled=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_batches_cover_both_arms_and_partition_rows(n_t, n_c, batch_size, n_unlabeled, seed):
+    """Any arm sizes and pool: a partition, both arms per batch, and the documented count."""
+    n = n_t + n_c
+    t = np.random.default_rng(seed).permutation(np.repeat([1, 0], [n_t, n_c]))
+    ids = np.arange(float(n))
+    view = BatchView(x=ids[:, None], t=t, y=ids.copy(),
+                     unlabeled_x=np.arange(float(n_unlabeled))[:, None])
+    rng = np.random.default_rng(seed)
+    batches = make_batches(view, batch_size, rng)
+    assert len(batches) == min(math.ceil(n / batch_size), n_t, n_c)
+    rows = np.concatenate([b.x[:, 0] for b in batches]).astype(np.int64)
+    assert sorted(rows) == list(range(n))
+    pool = [b.unlabeled_x[:, 0] for b in batches if b.unlabeled_x is not None]
+    assert sorted(np.concatenate(pool or [np.empty(0)])) == list(range(n_unlabeled))
+    for b in batches:
+        assert (b.t == 1).any() and (b.t == 0).any()
+        assert np.array_equal(b.t, t[b.x[:, 0].astype(np.int64)]) and np.array_equal(b.y, b.x[:, 0])
+    if n_unlabeled == 0:
+        bare = np.random.default_rng(seed)
+        again = make_batches(BatchView(x=view.x, t=t, y=view.y), batch_size, bare)
+        assert rng.bit_generator.state == bare.bit_generator.state
+        assert all(np.array_equal(a.x, b.x) for a, b in zip(batches, again))
 
 
 # ---------------------------------------------------------------------------
