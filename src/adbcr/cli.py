@@ -11,7 +11,8 @@ configuration, paths, tool version, and wall-clock duration, so a run can
 be reproduced from its manifest alone.
 
 Exit codes: 0 all artifacts written, 1 runtime failure (divergence,
-search with no usable run, I/O), 2 usage or configuration error.
+search with no usable run or with a worker process that died, I/O),
+2 usage or configuration error.
 """
 from __future__ import annotations
 
@@ -505,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     _add_data(p)
     p.add_argument("--mode", type=str, default="adbcr", choices=net_modes)
-    p.add_argument("--jobs", type=int, default=1, help="Concurrent training runs")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="Concurrent training processes, at most the usable CPUs")
     add_options(p, SEARCH, skip=DATA)
     p.set_defaults(func=cmd_search)
 

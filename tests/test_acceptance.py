@@ -11,7 +11,7 @@ from adbcr.autodiff import Adam, Tape, grads_for
 from adbcr.baselines import fit_lasso_on_dataset, lasso_fit
 from adbcr.cli import retain_freed_heap
 from adbcr.evaluation import (SearchSpace, ate_error, nn_pehe, pehe, search,
-                              select_by_nn_pehe)
+                              select_by_nn_pehe, usable_cpus)
 from adbcr.model import AdbcrModel, Scalers, load_model
 from adbcr.objectives import BatchView, discriminative_distance, factual_loss
 from adbcr.seeding import generator
@@ -65,9 +65,11 @@ def bench_dataset() -> data.Dataset:
 def benchmark_runs():
     """Per-seed (adbcr, a_tarnet, proxy-selected) test-split errors plus wall time.
 
-    Runs with the allocator setting the CLI makes, as `adbcr search` would.
+    Runs with the allocator setting the CLI makes, and searches with two
+    worker processes where two CPUs are usable, as `adbcr search --jobs 2` would.
     """
     retain_freed_heap()
+    jobs = min(2, usable_cpus())
     start = time.time()
     records = []
     for seed in BENCH_SEEDS:
@@ -75,8 +77,10 @@ def benchmark_runs():
         dataset = data.split(dataset, seed=seed)
         rows = dataset.indices(data.TEST)
         tau = dataset.tau_true()[rows]
-        adbcr = search(dataset, BENCH_SPACE, mode="adbcr", seed=seed, base=BENCH_BASE)
-        tarnet = search(dataset, BENCH_SPACE, mode="a_tarnet", seed=seed, base=BENCH_BASE)
+        adbcr = search(dataset, BENCH_SPACE, mode="adbcr", seed=seed, jobs=jobs,
+                       base=BENCH_BASE)
+        tarnet = search(dataset, BENCH_SPACE, mode="a_tarnet", seed=seed, jobs=jobs,
+                        base=BENCH_BASE)
         proxy = adbcr.results[select_by_nn_pehe(adbcr, dataset)]
         records.append((out_sqrt_pehe(adbcr.best.model, dataset, rows, tau),
                         out_sqrt_pehe(tarnet.best.model, dataset, rows, tau),

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in process."""
 import ctypes
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import adbcr
-from adbcr import cli, data
+from adbcr import cli, data, evaluation
+from adbcr.errors import DatasetError
 from adbcr.model import load_model
 
 from conftest import rewrite_with, rewrite_without
@@ -287,6 +289,48 @@ def test_search_all_failed_exits_1(benchmark_csv, tmp_path):
                     "--batch-size", "40"])
     assert code == 1
     assert manifest_of(out)["status"] == "failed"
+
+
+@pytest.mark.parametrize("mode", ["adbcr", "danncr"])
+def test_search_jobs_invariant_bytes(benchmark_csv, tmp_path, mode):
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    for jobs, out in outs.items():
+        assert run(["search", "--mode", mode, "--jobs", jobs, "--data", benchmark_csv,
+                    "--out", out, "--seed", 4, *SEARCH_FLAGS]) == 0
+        assert multiprocessing.active_children() == []
+    for name in ("runs.csv", "best.ckpt"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+
+def test_search_worker_death_exits_1(benchmark_csv, tmp_path, monkeypatch, capsys):
+    run_one = evaluation._run_one
+
+    def dies_on_index_1(dataset, config, index):
+        if index == 1:
+            os._exit(3)
+        return run_one(dataset, config, index)
+
+    monkeypatch.setattr(evaluation, "_run_one", dies_on_index_1)
+    out = tmp_path / "s"
+    assert run(["search", "--jobs", 2, "--data", benchmark_csv, "--out", out, "--seed", 4,
+                *SEARCH_FLAGS]) == 1
+    assert multiprocessing.active_children() == []
+    manifest = manifest_of(out)
+    assert manifest["status"] == "failed"
+    assert "adbcr search (seed 4): a worker process died" in manifest["error"]
+    assert "worker process died" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_run_error_exits_2(benchmark_csv, tmp_path, monkeypatch, jobs):
+    def refuse(dataset, config):
+        raise DatasetError("validation split lacks a treatment arm")
+
+    monkeypatch.setattr(evaluation, "train", refuse)
+    assert run(["search", "--jobs", jobs, "--data", benchmark_csv, "--out", tmp_path / "s",
+                "--seed", 4, *SEARCH_FLAGS]) == 2
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Effect metrics, report tables, and hyper-parameter search."""
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from adbcr import data, evaluation
-from adbcr.errors import ConfigError, DimensionError, DomainError, SearchError
+from adbcr.errors import ConfigError, DatasetError, DimensionError, DomainError, SearchError
 from adbcr.evaluation import (REPORT_COLUMNS, RUN_TABLE_COLUMNS, MetricsReport,
                               SearchResult, SearchSpace, ate_error, evaluate_model, nn_pehe,
                               pehe, sample_configs, search, select_by_nn_pehe,
@@ -322,15 +326,102 @@ def test_search_all_failed_raises(bench_dataset):
         search(bench_dataset, space, "adbcr", seed=0, base=search_base())
 
 
-def test_search_parallel_matches_serial(bench_dataset):
+def refuse_pickling(self, protocol):
+    raise AssertionError("the dataset was pickled")
+
+
+def test_search_parallel_matches_serial(bench_dataset, monkeypatch):
+    """Forked workers give every run's record, history and parameter bytes of jobs=1,
+    and inherit the dataset instead of receiving it by pickle."""
     space = tiny_space(learning_rate=(1e-4, 1e-2), draws=3)
-    serial = search(bench_dataset, space, "adbcr", seed=3, base=search_base())
-    parallel = search(bench_dataset, space, "adbcr", seed=3, base=search_base(), jobs=2)
-    assert [r.fingerprint for r in serial.records] == \
-           [r.fingerprint for r in parallel.records]
-    assert [r.best_value for r in serial.records] == \
-           [r.best_value for r in parallel.records]
-    assert serial.best_index == parallel.best_index
+    for mode in ("adbcr", "danncr"):
+        serial = search(bench_dataset, space, mode, seed=3, base=search_base())
+        with monkeypatch.context() as patch:
+            patch.setattr(data.Dataset, "__reduce_ex__", refuse_pickling)
+            parallel = search(bench_dataset, space, mode, seed=3, base=search_base(), jobs=2)
+        assert multiprocessing.active_children() == []
+        assert serial.records == parallel.records
+        assert serial.best_index == parallel.best_index
+        for one, other in zip(serial.results, parallel.results):
+            assert one.history == other.history
+            assert one.model.params.names() == other.model.params.names()
+            for name, value in one.model.params.items():
+                assert value.tobytes() == other.model.params[name].tobytes()
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size, runs the calls in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, draws, cpus, fork, pool_size", [
+    (100_000, 3, 2, True, 2),     # usable CPUs bound it
+    (100_000, 3, 8, True, 3),     # one worker per config at most
+    (2, 3, 8, True, 2),
+    (2, 1, 8, True, None),        # one config trains in-process
+    (2, 3, None, True, None),     # no affinity call: os.cpu_count() of 1 bounds it
+    (2, 3, 8, False, None),       # no fork: in-process
+])
+def test_search_clamps_jobs(bench_dataset, monkeypatch, jobs, draws, cpus, fork, pool_size):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation, "_worker_dataset", None)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    space = tiny_space(learning_rate=(1e-4, 1e-2), draws=draws)
+    result = search(bench_dataset, space, "a_tarnet", seed=3, base=search_base(max_epochs=2),
+                    jobs=jobs)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert len(result.records) == draws
+
+
+def blas_threads() -> int:
+    return evaluation._openblas_function("get_num_threads")()
+
+
+def test_search_workers_run_one_blas_thread(bench_dataset):
+    """Each forked worker runs OpenBLAS on one thread; the caller keeps its count."""
+    if evaluation._openblas_function("get_num_threads") is None:
+        pytest.skip("no OpenBLAS loaded")
+    before = blas_threads()
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=evaluation._start_worker,
+                             initargs=(bench_dataset,)) as pool:
+        assert pool.submit(blas_threads).result(timeout=60) == 1
+    assert blas_threads() == before
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_worker_error_keeps_type_and_message(bench_dataset, jobs):
+    """A run's non-training error reaches the caller as it would from jobs=1."""
+    split = bench_dataset.split.copy()
+    split[(split == data.VAL) & (bench_dataset.t == 0)] = data.TRAIN
+    one_arm = replace(bench_dataset, split=split)
+    space = tiny_space(draws=2)
+    with pytest.raises(DatasetError) as caught:
+        search(one_arm, space, "adbcr", seed=0, base=search_base(), jobs=jobs)
+    assert type(caught.value) is DatasetError
+    assert str(caught.value) == "validation split lacks a treatment arm"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
