@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense 2-d float64 tensors.
+"""Reverse-mode automatic differentiation over dense float64 tensors.
 
 The engine is define-by-run: each operation computes its value eagerly and
 appends the result to a tape, so creation order is already a topological
@@ -15,6 +15,14 @@ runs on a marked node, so the parent of a one-input op is always marked).
 Constants, and nodes that depend only on other parameters, end with no
 buffer at all. A wanted parameter the root never reaches ends with zeros.
 
+Tensors are matrices or 3-d stacks of R same-shaped matrices (members).
+matmul, add, elu, dropout and take_rows run a stack as one op, and member r
+of every result and gradient is bit for bit the 2-d op's on member r: numpy
+makes one BLAS call per member, with the 2-d strides. A matrix times a stack
+gets its gradient summed one member at a time, last first, as R separate
+2-d graphs would add it. Tape.param_stack holds R named parameters as one
+stacked node.
+
 The op set is exactly what fully-connected networks with ELU activations,
 inverted dropout, mean losses, and row slicing need. Everything is float64:
 the data here is desk scale and gradient-check fidelity matters more than
@@ -29,10 +37,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, TrainingError
 
 
-def _as_matrix(value) -> np.ndarray:
+def _as_tensor(value, ndim: int = 2) -> np.ndarray:
     arr = np.ascontiguousarray(value, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-d tensor, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise DimensionError(f"expected a {ndim}-d tensor, got shape {arr.shape}")
     return arr
 
 
@@ -50,16 +58,21 @@ class Tensor:
         self.needs_grad = False
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
 
 class Tape:
-    """Records tensors in creation order; backward() walks them in reverse."""
+    """Records tensors in creation order; backward() walks them in reverse.
+
+    params maps each parameter name to the node that holds it: its own
+    node, or for a stack member the stack's node.
+    """
 
     def __init__(self):
         self._nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
+        self._members: dict[str, int] = {}
 
     def _record(self, tensor: Tensor) -> Tensor:
         tensor.index = len(self._nodes)
@@ -68,38 +81,57 @@ class Tape:
 
     def constant(self, value) -> Tensor:
         """Leaf node for data the loss is not differentiated against."""
-        return self._record(Tensor(_as_matrix(value)))
+        return self._record(Tensor(_as_tensor(value)))
 
     def param(self, name: str, value: np.ndarray) -> Tensor:
         """Leaf node for a named parameter; memoized so every use shares one node."""
         node = self.params.get(name)
         if node is None:
-            node = self._record(Tensor(_as_matrix(value)))
+            node = self._record(Tensor(_as_tensor(value)))
             self.params[name] = node
         return node
+
+    def param_stack(self, names: tuple[str, ...], value: np.ndarray) -> Tensor:
+        """Leaf node for a 3-d stack whose member r is the parameter names[r]; memoized."""
+        node = self.params.get(names[0])
+        if node is None:
+            node = self._record(Tensor(_as_tensor(value, 3)))
+            if node.shape[0] != len(names):
+                raise DimensionError(f"{len(names)} names for a stack of {node.shape[0]}")
+            for member, name in enumerate(names):
+                self.params[name] = node
+                self._members[name] = member
+        return node
+
+    def grad(self, name: str) -> np.ndarray:
+        """The named parameter's gradient after backward; a stack member's is a view."""
+        node = self.params[name]
+        member = self._members.get(name)
+        return node.grad if member is None else node.grad[member]
 
     def backward(self, root: Tensor, wrt: Iterable[str] | None = None) -> None:
         """Set each wanted parameter's grad to d(root)/d(parameter).
 
         wrt names the wanted parameters; None wants every parameter on the
-        tape. The root must be scalar (1x1) and its grad is 1. Nodes between
-        the root and a wanted parameter hold their gradients afterwards; every
-        other node's grad is None, except a wanted parameter the root never
-        reaches, which gets zeros.
+        tape; wanting one member of a stack differentiates the whole stack. The
+        root must be scalar (1x1) and its grad is 1. Nodes between the root
+        and a wanted parameter hold their gradients afterwards; every other
+        node's grad is None, except a wanted parameter the root never
+        reaches, which gets zeros. Tape.grad reads a parameter's gradient.
         """
         if root.shape != (1, 1):
             raise DimensionError(f"backward root must be 1x1, got {root.shape}")
-        wanted = list(self.params.values()) if wrt is None else [self.params[n] for n in wrt]
-        wanted_ids = {id(node) for node in wanted}
+        wanted = {id(node): node for node in
+                  (self.params[name] for name in (self.params if wrt is None else wrt))}
         for node in self._nodes:
             node.grad = None
-            node.needs_grad = id(node) in wanted_ids or any(p.needs_grad for p in node.parents)
+            node.needs_grad = id(node) in wanted or any(p.needs_grad for p in node.parents)
         root.grad = np.ones((1, 1))
         if root.needs_grad:
             for node in reversed(self._nodes[:root.index + 1]):
                 if node.grad is not None and node.vjp is not None:
                     node.vjp(node.grad)
-        for node in wanted:
+        for node in wanted.values():
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
 
@@ -117,21 +149,27 @@ def _accumulate(node: Tensor, g: np.ndarray, shared: bool = False) -> None:
 
 
 def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
+    """Matrix product, member by member for stacks; a matrix a multiplies every member of b."""
+    if (a.shape[-1] != b.shape[-2] or a.data.ndim > b.data.ndim
+            or a.shape[:-2] not in ((), b.shape[:-2])):
         raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not align")
     out = a.data @ b.data
+    broadcast = a.data.ndim < b.data.ndim
 
     def vjp(g: np.ndarray) -> None:
-        if a.needs_grad:
-            _accumulate(a, g @ b.data.T)
+        if a.needs_grad and broadcast:
+            for member in reversed(range(b.shape[0])):
+                _accumulate(a, g[member] @ b.data[member].T)
+        elif a.needs_grad:
+            _accumulate(a, g @ b.data.swapaxes(-1, -2))
         if b.needs_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
     return tape._record(Tensor(out, (a, b), vjp))
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1xC bias broadcast over the rows of a."""
+    """Elementwise sum; b may also be a bias row (1xC, or Rx1xC for a stack) over a's rows."""
     if a.shape == b.shape:
         out = a.data + b.data
 
@@ -141,14 +179,14 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
             if b.needs_grad:
                 _accumulate(b, g, shared=True)
 
-    elif b.shape == (1, a.shape[1]):
+    elif b.shape == (*a.shape[:-2], 1, a.shape[-1]):
         out = a.data + b.data
 
         def vjp(g: np.ndarray) -> None:
             if a.needs_grad:
                 _accumulate(a, g, shared=True)
             if b.needs_grad:
-                _accumulate(b, g.sum(axis=0, keepdims=True))
+                _accumulate(b, g.sum(axis=-2, keepdims=True))
 
     else:
         raise DimensionError(f"add shapes {a.shape} and {b.shape} do not align")
@@ -183,30 +221,44 @@ def scale(tape: Tape, a: Tensor, factor: float) -> Tensor:
 def elu(tape: Tape, x: Tensor) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise; C1 at the joint.
 
-    One pass without a branch mask: max(x, 0) + expm1(min(x, 0)). The
-    derivative exp(min(x, 0)) is exactly 1 for x > 0 and is only computed
-    when the vjp runs.
+    One pass without a branch mask: expm1(min(x, 0)) + max(x, 0), summed in
+    the output buffer. The derivative exp(min(x, 0)) is exactly 1 for x > 0
+    and is only computed when the vjp runs.
     """
-    out = np.maximum(x.data, 0.0) + np.expm1(np.minimum(x.data, 0.0))
+    out = np.minimum(x.data, 0.0)
+    np.expm1(out, out=out)
+    # A stack adds member by member: its temporary is one matrix, not the stack.
+    for part, source in zip(out, x.data) if out.ndim == 3 else [(out, x.data)]:
+        part += np.maximum(source, 0.0)
 
     def vjp(g: np.ndarray) -> None:
-        _accumulate(x, g * np.exp(np.minimum(x.data, 0.0)))
+        d = np.minimum(x.data, 0.0)
+        np.exp(d, out=d)
+        d *= g
+        _accumulate(x, d)
 
     return tape._record(Tensor(out, (x,), vjp))
 
 
-def dropout(tape: Tape, x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
+def dropout(tape: Tape, x: Tensor, p: float, training: bool, rng: np.random.Generator | None,
+            uniforms: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
     Eval mode and p == 0 are the exact identity and consume no randomness.
+    uniforms, if given, are U[0, 1) draws of x's shape made beforehand,
+    used instead of drawing from rng.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training mode needs a generator")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    if uniforms is None:
+        if rng is None:
+            raise ConfigError("dropout in training mode needs a generator")
+        uniforms = rng.random(x.shape)
+    elif uniforms.shape != x.shape:
+        raise DimensionError(f"dropout draws of shape {uniforms.shape} for a tensor of {x.shape}")
+    keep = (uniforms >= p) / (1.0 - p)
     out = x.data * keep
 
     def vjp(g: np.ndarray) -> None:
@@ -215,17 +267,24 @@ def dropout(tape: Tape, x: Tensor, p: float, training: bool, rng: np.random.Gene
     return tape._record(Tensor(out, (x,), vjp))
 
 
-def take_rows(tape: Tape, x: Tensor, rows) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source."""
+def take_rows(tape: Tape, x: Tensor, rows, member: int | None = None) -> Tensor:
+    """Select rows by index, of one member where x is a stack; backward scatter-adds.
+
+    Every take from one source, whichever member, adds into the source's
+    one zeroed gradient buffer.
+    """
     idx = np.asarray(rows, dtype=np.intp)
     if idx.ndim != 1:
         raise DimensionError(f"row index must be 1-d, got shape {idx.shape}")
-    out = x.data[idx]
+    if (member is None) != (x.data.ndim == 2):
+        raise DimensionError(f"take_rows of shape {x.shape} with member {member}: "
+                             "a stack needs a member, a matrix has none")
+    out = (x.data if member is None else x.data[member])[idx]
 
     def vjp(g: np.ndarray) -> None:
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        np.add.at(x.grad if member is None else x.grad[member], idx, g)
 
     return tape._record(Tensor(out, (x,), vjp))
 
@@ -301,16 +360,45 @@ class ParamSet:
 
     Holds plain float64 matrices that optimizers update in place; it carries
     no optimizer state itself, so several optimizers can own disjoint or
-    overlapping views of the same parameters.
+    overlapping views of the same parameters. make_stack moves same-shaped
+    parameters into one 3-d stack; their names stay in place as views of
+    its members, so an update through either side shows in both.
     """
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
+        self._stacks: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
 
     def add(self, name: str, array: np.ndarray) -> None:
         if name in self._arrays:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._arrays[name] = _as_matrix(array)
+        self._arrays[name] = _as_tensor(array)
+
+    def make_stack(self, key: str, names) -> None:
+        """Hold the named parameters' values as one stack under key, member r = names[r]."""
+        names = tuple(names)
+        self._stacks[key] = (np.stack([self._arrays[name] for name in names]), names)
+        self._link(key)
+
+    def _link(self, key: str) -> None:
+        stack, names = self._stacks[key]
+        for name, member in zip(names, stack):
+            self._arrays[name] = member
+
+    def stack(self, key: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The stack held under key, and the names of its members."""
+        return self._stacks[key]
+
+    def __getstate__(self) -> dict:
+        # Pickle copies arrays apart, so each stack goes once and its members by name only.
+        members = {name for _, names in self._stacks.values() for name in names}
+        return {"_arrays": {k: None if k in members else v for k, v in self._arrays.items()},
+                "_stacks": self._stacks}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for key in self._stacks:
+            self._link(key)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -406,4 +494,4 @@ class Adam:
 
 def grads_for(tape: Tape, names: Iterable[str]) -> dict[str, np.ndarray]:
     """Gradient buffers for named parameters after a backward pass."""
-    return {name: tape.params[name].grad for name in names}
+    return {name: tape.grad(name) for name in names}

@@ -310,8 +310,8 @@ def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
     discriminator.
     """
     tape = Tape()
-    h, outs = model.forward_heads(tape, tape.constant(val_view.x))
-    factual = float(factual_term(tape, outs, val_view).data[0, 0])
+    h, heads = model.forward_heads(tape, tape.constant(val_view.x))
+    factual = float(factual_term(tape, model, heads, val_view).data[0, 0])
     ce = autodiff.softmax_cross_entropy(tape, model.stack_forward(tape, "disc", h), val_view.t)
     return EpochRecord(0, factual, float(ce.data[0, 0]), factual)
 

@@ -8,7 +8,9 @@ are; flags win over file values, file values over defaults. --seed, --out,
 --config, --data, --mode, --jobs and --checkpoint are flags only. Each
 command finishes by writing manifest.json (atomically) with the effective
 configuration, paths, tool version, and wall-clock duration, so a run can
-be reproduced from its manifest alone.
+be reproduced from its manifest alone. `main` keeps freed heap in the
+process and runs OpenBLAS on one thread unless the environment names a
+thread count.
 
 Exit codes: 0 all artifacts written, 1 runtime failure (divergence,
 search with no usable run or with a worker process that died, I/O),
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from . import baselines, data, evaluation, objectives, trainer
+from . import baselines, blas, data, evaluation, objectives, trainer
 from .errors import AdbcrError, ConfigError, SearchError, TrainingError
 from .evaluation import MetricsReport
 from .model import canonical_fingerprint, header_field, load_checkpoint, valid_int, valid_list, valid_real
@@ -550,8 +552,14 @@ def retain_freed_heap() -> bool:
                 and mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES))
 
 
+# Environment variables through which a user names a BLAS thread count.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
     retain_freed_heap()
+    if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        blas.set_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

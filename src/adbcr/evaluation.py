@@ -19,7 +19,6 @@ by pickle.
 """
 from __future__ import annotations
 
-import ctypes
 import math
 import multiprocessing
 import os
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from .data import TEST, TRAIN, VAL, Dataset
 from .errors import ConfigError, DimensionError, DomainError, SearchError, TrainingError
 from .seeding import generator
@@ -297,28 +297,6 @@ def _run_one(dataset: Dataset, config: TrainConfig, index: int) -> tuple[RunReco
 _worker_dataset: Dataset | None = None
 
 
-def _openblas_function(name: str):
-    """OpenBLAS's `openblas_<name>` from a library this process has loaded, or None.
-
-    Looks in the shared objects /proc/self/maps lists, under the symbol
-    names of plain, 64-bit-interface and SciPy-bundled OpenBLAS builds.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = sorted({fields[5].strip() for fields in (line.split(None, 5) for line in f)
-                            if len(fields) == 6 and "openblas" in fields[5]})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in (f"openblas_{name}", f"openblas_{name}64_",
-                       f"scipy_openblas_{name}", f"scipy_openblas_{name}64_"):
-            function = getattr(lib, symbol, None)
-            if function is not None:
-                return function
-    return None
-
-
 def _start_worker(dataset: Dataset) -> None:
     """Initializer of a forked search worker: adopt the dataset, run BLAS on one thread.
 
@@ -330,11 +308,7 @@ def _start_worker(dataset: Dataset) -> None:
     """
     global _worker_dataset
     _worker_dataset = dataset
-    set_threads = _openblas_function("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes = (ctypes.c_int,)
-        set_threads.restype = None
-        set_threads(1)
+    blas.set_threads(1)
 
 
 def _run_in_worker(config: TrainConfig, index: int) -> tuple[RunRecord, TrainResult | None]:

@@ -4,8 +4,12 @@
 layers (linear, ELU, dropout) and feeds the result to the outcome heads of
 each treatment arm that a subclass declares in `ARMS` (two per arm for
 `AdbcrModel`, one for `adbcr.baselines.DanncrModel`), plus any extra stacks.
-`forward_heads` runs the shared stack once, then each head once;
-predictions average each arm's heads and are de-standardized with scalers
+The heads all have one shape and read the same input, so each head layer's
+weights and biases are held as one stack with a member per head, and
+`forward_heads` runs the shared stack once, then every head at once as one
+stacked dense stack. The named per-head parameters are views of the
+members, so checkpoints, optimizers and snapshots see one array per head.
+Predictions average each arm's heads and are de-standardized with scalers
 learned from the training split. `load` checks every header field it reads
 and every stored parameter's name and shape.
 
@@ -80,20 +84,31 @@ def init_dense(params: ParamSet, prefix: str, sizes: list[int], rng: np.random.G
         params.add(f"{prefix}.{i}.b", rng.uniform(-bound, bound, (1, sizes[i + 1])))
 
 
-def dense_forward(tape: Tape, params: ParamSet, prefix: str, n_layers: int,
+def dense_forward(tape: Tape, layers: list[tuple[autodiff.Tensor, autodiff.Tensor]],
                   h: autodiff.Tensor, dropout_p: float, training: bool,
                   rng: np.random.Generator | None, final_plain: bool) -> autodiff.Tensor:
-    """Forward a dense stack; each layer is linear, ELU, dropout.
+    """Forward a dense stack of (weight, bias) nodes; each layer is linear, ELU, dropout.
 
     With final_plain the last layer stays purely linear (scalar outputs).
+    Stacked (3-d) weights run R dense stacks at once. Their dropout draws
+    are made up front in one call, stack by stack and layer by layer: the
+    order in which R dense stacks run one after another draw them.
     """
-    for i in range(n_layers):
-        w = tape.param(f"{prefix}.{i}.w", params[f"{prefix}.{i}.w"])
-        b = tape.param(f"{prefix}.{i}.b", params[f"{prefix}.{i}.b"])
+    n_hidden = len(layers) - final_plain
+    draws = [None] * n_hidden
+    if layers[0][0].data.ndim == 3 and training and dropout_p > 0.0 and rng is not None:
+        members, rows = layers[0][0].shape[0], h.shape[-2]
+        widths = [w.shape[-1] for w, _ in layers[:n_hidden]]
+        block = rng.random((members, rows * sum(widths)))
+        draws, start = [], 0
+        for width in widths:
+            draws.append(block[:, start:start + rows * width].reshape(members, rows, width))
+            start += rows * width
+    for i, (w, b) in enumerate(layers):
         h = autodiff.add(tape, autodiff.matmul(tape, h, w), b)
-        if not (final_plain and i == n_layers - 1):
+        if i < n_hidden:
             h = autodiff.elu(tape, h)
-            h = autodiff.dropout(tape, h, dropout_p, training, rng)
+            h = autodiff.dropout(tape, h, dropout_p, training, rng, draws[i])
     return h
 
 
@@ -112,7 +127,9 @@ class Network:
     ARMS holds the scalar head prefixes of arm 0, then arm 1; EXTRA_STACKS
     holds further (prefix, output width). Each stack, initialized in that
     order from a seed stream named after its prefix, has the head_layers
-    hidden widths and a purely linear output layer.
+    hidden widths and a purely linear output layer. The heads, in ARMS
+    order, are the members of the stacks "heads.<layer>.w" and
+    "heads.<layer>.b" of params.
     """
 
     kind: str
@@ -134,38 +151,55 @@ class Network:
         self.params = ParamSet()
         init_dense(self.params, "phi", [self.input_dim, *self.shared_layers],
                    generator(seed, "init", "phi"))
-        for prefix, width in [(p, 1) for arm in self.ARMS for p in arm] + list(self.EXTRA_STACKS):
+        heads = [prefix for arm in self.ARMS for prefix in arm]
+        # Member indices of each arm's heads in forward_heads' output.
+        self.arm_members = (tuple(range(len(self.ARMS[0]))),
+                            tuple(range(len(self.ARMS[0]), len(heads))))
+        for prefix, width in [(p, 1) for p in heads] + list(self.EXTRA_STACKS):
             init_dense(self.params, prefix, [self.shared_layers[-1], *self.head_layers, width],
                        generator(seed, "init", prefix))
+        for i in range(len(self.head_layers) + 1):
+            for part in "wb":
+                self.params.make_stack(f"heads.{i}.{part}", [f"{p}.{i}.{part}" for p in heads])
+
+    def _layers(self, tape: Tape, prefix: str, n_layers: int):
+        return [(tape.param(f"{prefix}.{i}.w", self.params[f"{prefix}.{i}.w"]),
+                 tape.param(f"{prefix}.{i}.b", self.params[f"{prefix}.{i}.b"]))
+                for i in range(n_layers)]
 
     def phi_forward(self, tape: Tape, x: autodiff.Tensor, training: bool = False,
                     rng: np.random.Generator | None = None) -> autodiff.Tensor:
-        return dense_forward(tape, self.params, "phi", len(self.shared_layers), x,
+        return dense_forward(tape, self._layers(tape, "phi", len(self.shared_layers)), x,
                              self.dropout_p, training, rng, final_plain=False)
 
     def stack_forward(self, tape: Tape, prefix: str, h: autodiff.Tensor,
                       training: bool = False,
                       rng: np.random.Generator | None = None) -> autodiff.Tensor:
-        return dense_forward(tape, self.params, prefix, len(self.head_layers) + 1, h,
+        """One dense stack on h, by its prefix: an extra stack, or a single head."""
+        return dense_forward(tape, self._layers(tape, prefix, len(self.head_layers) + 1), h,
                              self.dropout_p, training, rng, final_plain=True)
 
     def forward_heads(self, tape: Tape, x: autodiff.Tensor, training: bool = False,
                       rng: np.random.Generator | None = None):
-        """(h, outs): the representation h of x, and outs[t][r] = head r of arm t on h.
+        """(h, heads): the representation h of x, and every head's output on h.
 
-        Heads run once each in ARMS order, which fixes the dropout draws.
+        heads is an (R, n, 1) stack in ARMS order; arm t's heads are the
+        members arm_members[t]. All heads run as one stacked dense stack,
+        drawing dropout as the heads one after another would.
         """
         h = self.phi_forward(tape, x, training, rng)
-        return h, tuple(tuple(self.stack_forward(tape, prefix, h, training, rng)
-                              for prefix in arm) for arm in self.ARMS)
+        layers = [tuple(tape.param_stack(names, stack) for stack, names in
+                        (self.params.stack(f"heads.{i}.{part}") for part in "wb"))
+                  for i in range(len(self.head_layers) + 1)]
+        return h, dense_forward(tape, layers, h, self.dropout_p, training, rng, final_plain=True)
 
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""
         x = self._check_columns(x)
         tape = Tape()
-        _, outs = self.forward_heads(tape, tape.constant(self.scalers.standardize_x(x)))
-        y0, y1 = (self.scalers.destandardize_y(np.mean([out.data[:, 0] for out in arm], axis=0))
-                  for arm in outs)
+        _, heads = self.forward_heads(tape, tape.constant(self.scalers.standardize_x(x)))
+        y0, y1 = (self.scalers.destandardize_y(np.mean(heads.data[list(members), :, 0], axis=0))
+                  for members in self.arm_members)
         return y0, y1
 
     def _check_columns(self, x: np.ndarray) -> np.ndarray:

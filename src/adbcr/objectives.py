@@ -2,10 +2,11 @@
 
 All three quantities share one graph builder that runs Network.forward_heads
 once over the batch (labeled rows stacked with any unlabeled rows), then
-slices rows per term. Phases that skip a term therefore consume exactly the
-same dropout randomness as phases that build it, which is what makes
-ablation modes reduce to each other bit-for-bit. The factual term serves
-every network kind; the distance needs two heads per arm.
+takes each term's rows of each head out of the one stacked head output.
+Phases that skip a term therefore consume exactly the same dropout
+randomness as phases that build it, which is what makes ablation modes
+reduce to each other bit-for-bit. The factual term serves every network
+kind; the distance needs two heads per arm.
 """
 from __future__ import annotations
 
@@ -62,18 +63,21 @@ def _check_metric(metric: str) -> None:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def factual_term(tape: Tape, outs, batch: BatchView) -> Tensor:
-    """Sum over arms and heads (outs of forward_heads) of each head's MSE on its arm's rows."""
+def factual_term(tape: Tape, model: Network, heads: Tensor, batch: BatchView) -> Tensor:
+    """Sum over arms and their heads of each head's MSE on its arm's rows.
+
+    heads is the head output stack of model.forward_heads.
+    """
     rows = [np.flatnonzero(batch.t == arm) for arm in (0, 1)]
     if rows[0].size == 0 or rows[1].size == 0:
         raise BatchCompositionError(
             f"factual loss needs both treatments in the batch, got {rows[1].size} treated "
             f"and {rows[0].size} control rows")
     loss = None
-    for heads, arm_rows in zip(outs, rows):
-        for out in heads:
+    for members, arm_rows in zip(model.arm_members, rows):
+        for member in members:
             target = tape.constant(batch.y[arm_rows].reshape(-1, 1))
-            pred = autodiff.take_rows(tape, out, arm_rows)
+            pred = autodiff.take_rows(tape, heads, arm_rows, member)
             term = autodiff.mse_loss(tape, pred, target)
             loss = term if loss is None else autodiff.add(tape, loss, term)
     return loss
@@ -93,15 +97,15 @@ def build_losses(model: Network, batch: BatchView, tape: Tape, *,
     n = batch.x.shape[0]
     m = batch.n_unlabeled
     stacked = np.vstack([batch.x, batch.unlabeled_x]) if m > 0 else batch.x
-    _, outs = model.forward_heads(tape, tape.constant(stacked), training, rng)
-    factual = factual_term(tape, outs, batch) if need_factual else None
+    _, heads = model.forward_heads(tape, tape.constant(stacked), training, rng)
+    factual = factual_term(tape, model, heads, batch) if need_factual else None
 
     distance = None
     if need_distance:
         global distance_graph_builds
         distance_graph_builds += 1
         point_metric = autodiff.l1_mean if metric == "l1" else autodiff.mse_loss
-        for t, (head_a, head_b) in enumerate(outs):
+        for t, (head_a, head_b) in enumerate(model.arm_members):
             pool = np.flatnonzero(batch.t == 1 - t)
             if m > 0:
                 pool = np.concatenate([pool, n + np.arange(m)])
@@ -109,8 +113,8 @@ def build_losses(model: Network, batch: BatchView, tape: Tape, *,
                 raise BatchCompositionError(
                     f"distance pool for treatment {t} is empty: no rows with treatment {1 - t} "
                     "and no unlabeled rows")
-            a = autodiff.take_rows(tape, head_a, pool)
-            b = autodiff.take_rows(tape, head_b, pool)
+            a = autodiff.take_rows(tape, heads, pool, head_a)
+            b = autodiff.take_rows(tape, heads, pool, head_b)
             term = point_metric(tape, a, b)
             distance = term if distance is None else autodiff.add(tape, distance, term)
 

@@ -1,14 +1,17 @@
 """Shared helpers: finite-difference oracles, small benchmark fixtures, checkpoint edits.
 
-Also the one-head forward and the lasso effect estimate, which only tests use.
+Also the per-head forward (the reference for the stacked heads) and the lasso
+effect estimate, which only tests use.
 """
+import ctypes
+
 import numpy as np
 import pytest
 
-from adbcr import data
+from adbcr import blas, cli, data
 from adbcr.autodiff import Tape
 from adbcr.baselines import LassoModel
-from adbcr.model import AdbcrModel, read_checkpoint, write_checkpoint
+from adbcr.model import Network, read_checkpoint, write_checkpoint
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -49,6 +52,29 @@ def bench_dataset() -> data.Dataset:
     return small_benchmark()
 
 
+@pytest.fixture
+def blas_at_two_threads(monkeypatch):
+    """OpenBLAS on two threads, no thread count in the environment; yields the count's reader.
+
+    The count is restored afterwards. Skips where no OpenBLAS is loaded or
+    it cannot run two threads.
+    """
+    count = blas.openblas_function("get_num_threads")
+    if count is None:
+        pytest.skip("no OpenBLAS loaded")
+    count.argtypes, count.restype = (), ctypes.c_int
+    before = count()
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    blas.set_threads(2)
+    try:
+        if count() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        yield count
+    finally:
+        blas.set_threads(before)
+
+
 def _rewrite_header(path: str, field: str, edit) -> None:
     """Rewrite a checkpoint after edit(section, key) changes the header field at a dotted path."""
     kind, _, arrays, header = read_checkpoint(path)
@@ -71,14 +97,28 @@ def rewrite_with(path: str, field: str, value) -> None:
     _rewrite_header(path, field, lambda section, key: section.__setitem__(key, value))
 
 
-def forward_head(model: AdbcrModel, x: np.ndarray, t: int, r: int, training: bool = False,
+def per_head_forward(model: Network, tape: Tape, x: np.ndarray, training: bool = False,
+                     rng: np.random.Generator | None = None):
+    """(h, outs): the representation of x, and outs[t][r] = head r of arm t as its own graph.
+
+    The reference for Network.forward_heads: each head runs as its own
+    dense stack via stack_forward, one after another in ARMS order, which
+    fixes the order of the dropout draws.
+    """
+    h = model.phi_forward(tape, tape.constant(model._check_columns(x)), training, rng)
+    return h, [[model.stack_forward(tape, prefix, h, training, rng) for prefix in arm]
+               for arm in model.ARMS]
+
+
+def forward_head(model: Network, x: np.ndarray, t: int, r: int, training: bool = False,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Head r of arm t on already-standardized covariates, as an (n, 1) column."""
-    x = model._check_columns(x)
-    tape = Tape()
-    h = model.phi_forward(tape, tape.constant(x), training, rng)
-    out = model.stack_forward(tape, model.ARMS[t][r], h, training, rng)
-    return out.data.copy()
+    """Head r of arm t on already-standardized covariates, as an (n, 1) column.
+
+    Runs every head as per_head_forward does, so in training mode it draws
+    the dropout of every head.
+    """
+    _, outs = per_head_forward(model, Tape(), x, training, rng)
+    return outs[t][r].data.copy()
 
 
 def lasso_cate(model: LassoModel, x: np.ndarray) -> np.ndarray:

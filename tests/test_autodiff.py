@@ -1,6 +1,8 @@
 """Engine tests: forward values, gradients against finite differences, Adam."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adbcr import autodiff
 from adbcr.autodiff import Adam, ParamSet, Tape
@@ -424,6 +426,131 @@ def test_two_layer_composition_gradient():
         return tape, autodiff.sub(tape, loss, autodiff.scale(tape, penal, 0.5))
 
     _check_param_grads(build, params, tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# stacked ops: R same-shaped members in one op
+
+GROUPS = ("a", "w", "b")
+
+
+def stacked_case(seed: int, members: int, rows: int, fan_in: int, fan_out: int,
+                 stacked_input: bool):
+    """Arrays of one stacked dense layer and, per member, the rows taken and their targets."""
+    rng = np.random.default_rng(seed)
+    arrays = {"a": rng.normal(size=(members, rows, fan_in) if stacked_input else (rows, fan_in)),
+              "w": rng.normal(size=(members, fan_in, fan_out)),
+              "b": rng.normal(size=(members, 1, fan_out))}
+    uniforms = rng.random((members, rows, fan_out))
+    takes = [rng.integers(0, rows, size=rng.integers(1, 2 * rows + 1)) for _ in range(members)]
+    targets = [rng.normal(size=(take.size, fan_out)) for take in takes]
+    return arrays, uniforms, takes, targets
+
+
+def member_names(group: str, array: np.ndarray) -> tuple[str, ...]:
+    return tuple(f"{group}{r}" for r in range(array.shape[0])) if array.ndim == 3 else (group,)
+
+
+def stacked_graph(arrays, uniforms, takes, targets):
+    """Dropout(ELU(a @ w + b)) on stacks, each member's rows taken into one summed mse."""
+    tape = Tape()
+    nodes = {group: tape.param_stack(member_names(group, array), array) if array.ndim == 3
+             else tape.param(group, array) for group, array in arrays.items()}
+    out = autodiff.add(tape, autodiff.matmul(tape, nodes["a"], nodes["w"]), nodes["b"])
+    out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, True, None, uniforms)
+    root = None
+    for member, (take, target) in enumerate(zip(takes, targets)):
+        term = autodiff.mse_loss(tape, autodiff.take_rows(tape, out, take, member),
+                                 tape.constant(target))
+        root = term if root is None else autodiff.add(tape, root, term)
+    return tape, out, root
+
+
+def per_member_graph(arrays, uniforms, takes, targets):
+    """The same loss from R separate 2-d layers, member 0 first."""
+    tape = Tape()
+    a = arrays["a"]
+    shared = tape.param("a", a) if a.ndim == 2 else None
+    outs, root = [], None
+    for member, (take, target) in enumerate(zip(takes, targets)):
+        x = shared if shared is not None else tape.param(f"a{member}", a[member])
+        w = tape.param(f"w{member}", arrays["w"][member])
+        out = autodiff.add(tape, autodiff.matmul(tape, x, w),
+                           tape.param(f"b{member}", arrays["b"][member]))
+        out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, True, None, uniforms[member])
+        outs.append(out)
+        term = autodiff.mse_loss(tape, autodiff.take_rows(tape, out, take), tape.constant(target))
+        root = term if root is None else autodiff.add(tape, root, term)
+    return tape, outs, root
+
+
+stacked_shapes = dict(members=st.integers(1, 4), rows=st.integers(1, 6), fan_in=st.integers(1, 4),
+                      fan_out=st.integers(1, 4), stacked_input=st.booleans(),
+                      seed=st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wanted=st.lists(st.sampled_from(GROUPS), unique=True), **stacked_shapes)
+def test_stacked_ops_match_finite_differences(wanted, seed, members, rows, fan_in, fan_out,
+                                              stacked_input):
+    """matmul of a broadcast matrix or of a stack by a stack, the stacked bias, ELU, dropout
+    on given draws and take_rows of each member, against central differences. Under
+    backward(wrt=...) the wanted parameters get their gradient and the others none."""
+    case = stacked_case(seed, members, rows, fan_in, fan_out, stacked_input)
+    arrays = case[0]
+    tape, _, root = stacked_graph(*case)
+    tape.backward(root, [name for group in wanted
+                         for name in member_names(group, arrays[group])])
+    for group, array in arrays.items():
+        names = member_names(group, array)
+        if group not in wanted:
+            assert all(tape.params[name].grad is None for name in names)
+            continue
+        for name, part in zip(names, array if array.ndim == 3 else [array]):
+            numeric = finite_difference(lambda: stacked_graph(*case)[2].data[0, 0], part)
+            # The floor sits above central differences' rounding error of about 1e-10.
+            worst = rel_err(tape.grad(name), numeric, floor=1e-3).max()
+            assert worst < 1e-5, f"{name}: worst relative error {worst:.3g}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(**stacked_shapes)
+@example(seed=3, members=4, rows=6, fan_in=4, fan_out=4, stacked_input=False)
+def test_stacked_ops_equal_per_member_ops(seed, members, rows, fan_in, fan_out, stacked_input):
+    """Every member's output and every gradient, the broadcast input's summed one included,
+    equal those of R separate 2-d layers bit for bit."""
+    case = stacked_case(seed, members, rows, fan_in, fan_out, stacked_input)
+    tape, out, root = stacked_graph(*case)
+    ref_tape, ref_outs, ref_root = per_member_graph(*case)
+    np.testing.assert_array_equal(root.data, ref_root.data)
+    for member, ref_out in enumerate(ref_outs):
+        np.testing.assert_array_equal(out.data[member], ref_out.data)
+    tape.backward(root)
+    ref_tape.backward(ref_root)
+    for name in ref_tape.params:
+        np.testing.assert_array_equal(tape.grad(name), ref_tape.grad(name), err_msg=name)
+
+
+def test_stacked_shapes_checked():
+    tape = Tape()
+    matrix = tape.constant(np.ones((4, 3)))
+    stack = tape.param_stack(("s0", "s1"), np.ones((2, 3, 5)))
+    with pytest.raises(DimensionError):
+        autodiff.matmul(tape, tape.constant(np.ones((3, 4, 3))), stack)
+    with pytest.raises(DimensionError):
+        autodiff.matmul(tape, tape.constant(np.ones((2, 4, 3))), tape.constant(np.ones((3, 5))))
+    out = autodiff.matmul(tape, matrix, stack)
+    assert out.shape == (2, 4, 5)
+    with pytest.raises(DimensionError):
+        autodiff.add(tape, out, tape.constant(np.ones((1, 5))))
+    with pytest.raises(DimensionError):
+        autodiff.take_rows(tape, out, [0])
+    with pytest.raises(DimensionError):
+        autodiff.take_rows(tape, matrix, [0], 1)
+    with pytest.raises(DimensionError):
+        autodiff.dropout(tape, out, 0.5, True, None, np.ones((2, 4, 4)))
+    with pytest.raises(DimensionError):
+        tape.param_stack(("t0",), np.ones((2, 3, 5)))
 
 
 # ---------------------------------------------------------------------------

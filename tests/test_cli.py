@@ -446,6 +446,22 @@ def test_train_and_search_share_run_flags(flag, value, dest, parsed):
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+def test_cli_runs_blas_on_one_thread(blas_at_two_threads, tmp_path):
+    assert run(["generate", "--out", tmp_path, "--n", 50, "--d", 2, "--seed", 1]) == 0
+    assert blas_at_two_threads() == 1
+
+
+@pytest.mark.parametrize("name", cli.BLAS_THREAD_VARIABLES)
+def test_cli_keeps_the_blas_threads_the_environment_names(blas_at_two_threads, monkeypatch,
+                                                          tmp_path, name):
+    monkeypatch.setenv(name, "2")
+    assert run(["generate", "--out", tmp_path, "--n", 50, "--d", 2, "--seed", 1]) == 0
+    assert blas_at_two_threads() == 2
+
+
+# ---------------------------------------------------------------------------
 # allocator setting
 
 def run_fresh(script: str, *args) -> str:

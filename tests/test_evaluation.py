@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adbcr import data, evaluation
+from adbcr import blas, data, evaluation
 from adbcr.errors import ConfigError, DatasetError, DimensionError, DomainError, SearchError
 from adbcr.evaluation import (REPORT_COLUMNS, RUN_TABLE_COLUMNS, MetricsReport,
                               SearchResult, SearchSpace, ate_error, evaluate_model, nn_pehe,
@@ -395,12 +395,12 @@ def test_search_clamps_jobs(bench_dataset, monkeypatch, jobs, draws, cpus, fork,
 
 
 def blas_threads() -> int:
-    return evaluation._openblas_function("get_num_threads")()
+    return blas.openblas_function("get_num_threads")()
 
 
 def test_search_workers_run_one_blas_thread(bench_dataset):
     """Each forked worker runs OpenBLAS on one thread; the caller keeps its count."""
-    if evaluation._openblas_function("get_num_threads") is None:
+    if blas.openblas_function("get_num_threads") is None:
         pytest.skip("no OpenBLAS loaded")
     before = blas_threads()
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
@@ -408,6 +408,12 @@ def test_search_workers_run_one_blas_thread(bench_dataset):
                              initargs=(bench_dataset,)) as pool:
         assert pool.submit(blas_threads).result(timeout=60) == 1
     assert blas_threads() == before
+
+
+def test_library_train_and_search_leave_blas_threads_alone(blas_at_two_threads, bench_dataset):
+    train(bench_dataset, search_base(max_epochs=1, shared_layers=(8,), head_layers=(6,)))
+    search(bench_dataset, tiny_space(), "adbcr", seed=0, base=search_base(max_epochs=1))
+    assert blas_at_two_threads() == 2
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

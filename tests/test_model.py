@@ -1,6 +1,7 @@
 """Network construction, prediction semantics, scalers, and checkpoints."""
 import json
 import os
+import pickle
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adbcr.autodiff import Adam
 from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
@@ -52,6 +54,33 @@ def test_adjacent_heads_differ_at_init():
         other = name.replace("head.0.0.", "head.0.1.")
         differs = differs or not np.array_equal(model.params[name], model.params[other])
     assert differs
+
+
+@pytest.mark.parametrize("network", [AdbcrModel, DanncrModel], ids=["adbcr", "danncr"])
+def test_head_parameters_are_views_of_the_stacks(network):
+    """The stacks hold the per-head arrays in ARMS order; an Adam step and a restore
+    through the per-head names change the stacks, and a pickled copy keeps the link."""
+    model = network(3, (6, 5), (4,), dropout_p=0.2, seed=1)
+    heads = [prefix for arm in model.ARMS for prefix in arm]
+    assert model.params.names()[:4] == ["phi.0.w", "phi.0.b", "phi.1.w", "phi.1.b"]
+    for key in ("heads.0.w", "heads.0.b", "heads.1.w", "heads.1.b"):
+        stack, names = model.params.stack(key)
+        assert names == tuple(f"{prefix}.{key[6:]}" for prefix in heads)
+        for member, name in zip(stack, names):
+            assert np.shares_memory(member, model.params[name])
+    before = model.params.snapshot()
+    heads_opt = Adam(model.params.subset("head."), lr=0.1)
+    heads_opt.step({name: np.ones_like(model.params[name]) for name in heads_opt.names()})
+    stack, names = model.params.stack("heads.1.w")
+    for member, name in zip(stack, names):
+        np.testing.assert_allclose(member, before[name] - 0.1, rtol=0.0, atol=1e-8)
+    model.params.restore(before)
+    for member, name in zip(stack, names):
+        np.testing.assert_array_equal(member, before[name])
+    copy = pickle.loads(pickle.dumps(model))
+    copy.params[names[-1]][...] = 7.0
+    assert (copy.params.stack("heads.1.w")[0][-1] == 7.0).all()
+    assert not (stack[-1] == 7.0).any()
 
 
 def test_invalid_construction():

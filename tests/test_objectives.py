@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from adbcr import objectives
-from adbcr.autodiff import Tape
+from adbcr import autodiff, objectives
+from adbcr.autodiff import Tape, grads_for
 from adbcr.baselines import DanncrModel
 from adbcr.errors import BatchCompositionError, ConfigError, DimensionError
 from adbcr.model import AdbcrModel
@@ -11,7 +11,7 @@ from adbcr.objectives import (BatchView, build_losses, discriminative_distance,
                               factual_loss, validation_criterion)
 from adbcr.seeding import generator
 
-from conftest import forward_head
+from conftest import forward_head, per_head_forward
 
 HEAD_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -270,3 +270,83 @@ def test_validation_decreases_as_heads_agree():
         assert value < previous
         previous = value
     assert previous == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked heads against the per-head graph, bit for bit
+
+def per_head_losses(model, batch: BatchView, tape: Tape, rng, metric: str):
+    """(factual, distance) built per head: each head its own graph, rows taken from each."""
+    n, m = batch.x.shape[0], batch.n_unlabeled
+    x = np.vstack([batch.x, batch.unlabeled_x]) if m else batch.x
+    _, outs = per_head_forward(model, tape, x, True, rng)
+    factual = distance = None
+    for t, heads in enumerate(outs):
+        rows = np.flatnonzero(batch.t == t)
+        for out in heads:
+            pred = autodiff.take_rows(tape, out, rows)
+            term = autodiff.mse_loss(tape, pred, tape.constant(batch.y[rows].reshape(-1, 1)))
+            factual = term if factual is None else autodiff.add(tape, factual, term)
+    point_metric = autodiff.l1_mean if metric == "l1" else autodiff.mse_loss
+    for t, heads in enumerate(outs):
+        if len(heads) < 2:
+            break
+        pool = np.concatenate([np.flatnonzero(batch.t == 1 - t), n + np.arange(m)])
+        a, b = (autodiff.take_rows(tape, out, pool) for out in heads)
+        term = point_metric(tape, a, b)
+        distance = term if distance is None else autodiff.add(tape, distance, term)
+    return factual, distance
+
+
+def stacked_case(kind: str):
+    network = DanncrModel if kind == "danncr" else AdbcrModel
+    model = network(3, (6, 5), (4, 3), dropout_p=0.3, seed=9)
+    return model, random_batch(21, n=16, unlabeled=7 if kind == "uadbcr" else 0)
+
+
+@pytest.mark.parametrize("kind", ["adbcr", "uadbcr", "danncr"])
+def test_stacked_heads_equal_per_head_outputs(kind):
+    """In training mode with dropout, every member of forward_heads' stack is its head's
+    per-head output, bit for bit."""
+    model, batch = stacked_case(kind)
+    x = np.vstack([batch.x, batch.unlabeled_x]) if batch.n_unlabeled else batch.x
+    tape = Tape()
+    _, heads = model.forward_heads(tape, tape.constant(x), True, np.random.default_rng(4))
+    assert heads.shape == (sum(map(len, model.ARMS)), x.shape[0], 1)
+    for t, members in enumerate(model.arm_members):
+        for r, member in enumerate(members):
+            np.testing.assert_array_equal(
+                heads.data[member], forward_head(model, x, t, r, True, np.random.default_rng(4)))
+
+
+# (network kind, step): the step's objective and the parameters its optimizer owns.
+STEP_CASES = [(kind, step) for kind in ("adbcr", "uadbcr") for step in "ABC"] + [("danncr", "A")]
+
+
+@pytest.mark.parametrize("metric", ["l1", "squared"])
+@pytest.mark.parametrize("kind, step", STEP_CASES)
+def test_stacked_step_objectives_and_gradients_equal_per_head(kind, step, metric):
+    """Step A (factual), B (factual - w * distance, heads) and C (distance, phi)
+    objectives and gradients equal those of the per-head graph, bit for bit."""
+    model, batch = stacked_case(kind)
+    names = list(model.params.subset(*{"A": ("phi.", "head."), "B": ("head.",),
+                                       "C": ("phi.",)}[step]))
+
+    def objective(tape, factual, distance):
+        if step == "B":
+            return autodiff.sub(tape, factual, autodiff.scale(tape, distance, 0.7))
+        return distance if step == "C" else factual
+
+    tape = Tape()
+    root = objective(tape, *build_losses(model, batch, tape, training=True,
+                                         rng=np.random.default_rng(6), metric=metric,
+                                         need_factual=step != "C", need_distance=step != "A"))
+    ref_tape = Tape()
+    ref_root = objective(ref_tape, *per_head_losses(model, batch, ref_tape,
+                                                    np.random.default_rng(6), metric))
+    np.testing.assert_array_equal(root.data, ref_root.data)
+    tape.backward(root, names)
+    ref_tape.backward(ref_root, names)
+    grads, ref_grads = grads_for(tape, names), grads_for(ref_tape, names)
+    for name in names:
+        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
