@@ -15,6 +15,13 @@ runs on a marked node, so the parent of a one-input op is always marked).
 Constants, and nodes that depend only on other parameters, end with no
 buffer at all. A wanted parameter the root never reaches ends with zeros.
 
+A tape built with recording=False is for forwards that are never
+differentiated (predictions, validation): it runs the same ops with the
+same arithmetic, but keeps no node and drops each result's parents and vjp,
+so every intermediate is freed as soon as its consumer returns and an
+eval forward holds a few layers' activations, not all of them. Parameters
+are still memoized; backward on such a tape raises.
+
 Tensors are matrices or 3-d stacks of R same-shaped matrices (members).
 matmul, add, elu, dropout and take_rows run a stack as one op, and member r
 of every result and gradient is bit for bit the 2-d op's on member r: numpy
@@ -66,15 +73,21 @@ class Tape:
     """Records tensors in creation order; backward() walks them in reverse.
 
     params maps each parameter name to the node that holds it: its own
-    node, or for a stack member the stack's node.
+    node, or for a stack member the stack's node. With recording=False the
+    tape keeps no node and no node keeps its parents or vjp (module
+    docstring), so it cannot run backward.
     """
 
-    def __init__(self):
+    def __init__(self, recording: bool = True):
+        self._recording = recording
         self._nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
         self._members: dict[str, int] = {}
 
     def _record(self, tensor: Tensor) -> Tensor:
+        if not self._recording:
+            tensor.parents, tensor.vjp = (), None
+            return tensor
         tensor.index = len(self._nodes)
         self._nodes.append(tensor)
         return tensor
@@ -119,6 +132,9 @@ class Tape:
         node's grad is None, except a wanted parameter the root never
         reaches, which gets zeros. Tape.grad reads a parameter's gradient.
         """
+        if not self._recording:
+            raise ConfigError("backward on a tape built with recording=False: "
+                              "it keeps no graph to differentiate")
         if root.shape != (1, 1):
             raise DimensionError(f"backward root must be 1x1, got {root.shape}")
         wanted = {id(node): node for node in

@@ -309,7 +309,7 @@ def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
     One forward of the shared representation feeds the heads and the
     discriminator.
     """
-    tape = Tape()
+    tape = Tape(recording=False)
     h, heads = model.forward_heads(tape, tape.constant(val_view.x))
     factual = float(factual_term(tape, model, heads, val_view).data[0, 0])
     ce = autodiff.softmax_cross_entropy(tape, model.stack_forward(tape, "disc", h), val_view.t)

@@ -2,15 +2,16 @@
 
 The CSV interchange schema is flat: a header row naming `t`, `y_factual`,
 optionally `y_cfactual`, `mu0`, `mu1`, and then one column per covariate
-(any names, order preserved); a name may appear only once. Lines end in
-CRLF, as csv's excel dialect writes them. Floats are serialized with 17
-significant digits so a save/load round trip is exact; a cell loads as
-Python's float() reads it. Split assignment, stripping state, and
-generator propensities live in memory only.
+(any names, order preserved); a name must be non-empty and may appear
+only once. Lines end in CRLF, as csv's excel dialect writes them. Floats
+are serialized with 17 significant digits so a save/load round trip is
+exact; a cell loads as Python's float() reads it. Split assignment,
+stripping state, and generator propensities live in memory only.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,8 @@ NONLINEARITIES = ("linear", "quadratic", "exp")
 
 # Rows save_csv formats per write, so its temporaries stay small at any n.
 CSV_WRITE_ROWS = 64
+# Rows load_csv converts per np.array call, so few cell strings are alive at once.
+CSV_READ_ROWS = 256
 
 
 @dataclass
@@ -303,13 +306,26 @@ def save_csv(dataset: Dataset, path: str) -> None:
             f.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
+def _check_treatment(t: np.ndarray) -> None:
+    bad = np.flatnonzero((t != 0.0) & (t != 1.0))
+    if bad.size:
+        raise ParseError(f"treatment must be 0 or 1, got {t[bad[0]]!r}",
+                         row=int(bad[0]) + 2, column="t")
+
+
 def load_csv(path: str) -> Dataset:
     """Parse the interchange CSV; errors carry the offending row and column.
 
-    Header names must be unique. Every cell must hold a number that
-    Python's float() accepts and that is finite; nan and inf are rejected.
-    A leading UTF-8 byte-order mark, as spreadsheet programs write one, is
-    dropped.
+    Header names must be non-empty and unique. Every cell must hold a
+    number that Python's float() accepts and that is finite; nan and inf
+    are rejected. A leading UTF-8 byte-order mark, as spreadsheet programs
+    write one, is dropped.
+
+    Records are read CSV_READ_ROWS at a time, and each block becomes floats
+    in one np.array call (which applies float() to every cell), so only one
+    block's cell strings are alive at once; the blocks are joined once at
+    the end. A block that is ragged or holds a cell that is not a finite
+    number sends the load to _walk_cells, which names the first bad cell.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
@@ -318,7 +334,9 @@ def load_csv(path: str) -> Dataset:
         except StopIteration:
             raise ParseError(f"{path!r} is empty") from None
         header = [h.strip() for h in header]
-        for name in header:
+        for position, name in enumerate(header, start=1):
+            if not name:
+                raise ParseError(f"empty name for header column {position}")
             if header.count(name) > 1:
                 raise ParseError("duplicate column name", column=name)
         for mandatory in ("t", "y_factual"):
@@ -331,51 +349,68 @@ def load_csv(path: str) -> Dataset:
         covariate_cols = [h for h in header if h not in _SPECIAL_COLUMNS]
         if not covariate_cols:
             raise ParseError("no covariate columns found")
-        col_index = {name: header.index(name) for name in header}
-        rows = list(reader)
-    ragged = next((i for i, record in enumerate(rows) if len(record) != len(header)), None)
-    if ragged is not None:
-        raise ParseError(f"expected {len(header)} fields, got {len(rows[ragged])}",
-                         row=ragged + 2)
-    n = len(rows)
-    if n == 0:
+        blocks = []
+        for block in iter(lambda: list(itertools.islice(reader, CSV_READ_ROWS)), []):
+            try:
+                values = np.array(block, dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
+                blocks = None
+                break
+            blocks.append(values)
+    if blocks is None:
+        table = _walk_cells(path, header)
+    elif not blocks:
         raise ParseError(f"{path!r} has a header but no rows")
-    try:
-        table = np.array(rows, dtype=np.float64)
-        if np.isfinite(table).all():
-            rows = None   # every cell is good; free the strings
-    except ValueError:
-        pass
+    else:
+        table = np.concatenate(blocks)
+        del blocks
 
     def column(name: str) -> np.ndarray:
-        j = col_index[name]
-        if rows is None:
-            return table[:, j].copy()
-        # Some cell is bad: find the first one, column by column, to name it.
-        out = np.empty(n)
-        for i, record in enumerate(rows):
-            try:
-                out[i] = float(record[j])
-            except ValueError:
-                raise ParseError(f"non-numeric value {record[j]!r}",
-                                 row=i + 2, column=name) from None
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            i = int(bad[0])
-            raise ParseError(f"non-finite value {rows[i][j]!r}", row=i + 2, column=name)
-        return out
+        return table[:, header.index(name)].copy()
 
     t_raw = column("t")
-    bad = np.flatnonzero((t_raw != 0.0) & (t_raw != 1.0))
-    if bad.size:
-        raise ParseError(f"treatment must be 0 or 1, got {t_raw[bad[0]]!r}",
-                         row=int(bad[0]) + 2, column="t")
-    x = np.column_stack([column(name) for name in covariate_cols])
+    _check_treatment(t_raw)
     return Dataset(
-        x=x,
+        x=table[:, [header.index(name) for name in covariate_cols]],
         t=t_raw.astype(np.int64),
         y_factual=column("y_factual"),
         y_cf=column("y_cfactual") if "y_cfactual" in present else None,
         mu0=column("mu0") if "mu0" in present else None,
         mu1=column("mu1") if "mu1" in present else None,
     )
+
+
+def _walk_cells(path: str, header: list[str]) -> np.ndarray:
+    """The whole file parsed cell by cell with float(); raises at its first bad cell.
+
+    load_csv's one error path. A ragged record comes first; then, column
+    by column in the order t (then its 0/1 check), the covariates,
+    y_factual, y_cfactual, mu0, mu1, the first cell float() rejects, else
+    the first non-finite one. Returns the table if no cell is bad.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    ragged = next((i for i, record in enumerate(rows) if len(record) != len(header)), None)
+    if ragged is not None:
+        raise ParseError(f"expected {len(header)} fields, got {len(rows[ragged])}",
+                         row=ragged + 2)
+    table = np.empty((len(rows), len(header)))
+    covariates = [name for name in header if name not in _SPECIAL_COLUMNS]
+    outcomes = [name for name in _SPECIAL_COLUMNS[1:] if name in header]
+    for name in ["t", *covariates, *outcomes]:
+        j = header.index(name)
+        for i, record in enumerate(rows):
+            try:
+                table[i, j] = float(record[j])
+            except ValueError:
+                raise ParseError(f"non-numeric value {record[j]!r}",
+                                 row=i + 2, column=name) from None
+        bad = np.flatnonzero(~np.isfinite(table[:, j]))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseError(f"non-finite value {rows[i][j]!r}", row=i + 2, column=name)
+        if name == "t":
+            _check_treatment(table[:, j])
+    return table

@@ -196,7 +196,7 @@ class Network:
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""
         x = self._check_columns(x)
-        tape = Tape()
+        tape = Tape(recording=False)
         _, heads = self.forward_heads(tape, tape.constant(self.scalers.standardize_x(x)))
         y0, y1 = (self.scalers.destandardize_y(np.mean(heads.data[list(members), :, 0], axis=0))
                   for members in self.arm_members)

@@ -128,7 +128,7 @@ def factual_loss(model: Network, batch: BatchView, tape: Tape | None = None,
     Without a tape: a plain eval-mode float. With one: the loss tensor on
     that tape, ready for backward.
     """
-    loss, _ = build_losses(model, batch, Tape() if tape is None else tape,
+    loss, _ = build_losses(model, batch, Tape(recording=False) if tape is None else tape,
                            training=training and tape is not None, rng=rng,
                            need_distance=False)
     return float(loss.data[0, 0]) if tape is None else loss
@@ -142,7 +142,7 @@ def discriminative_distance(model: AdbcrModel, batch: BatchView, metric: str = "
     Each arm's head pair is evaluated on the rows of the opposite arm plus
     any unlabeled rows. Without a tape: an eval-mode float.
     """
-    _, dist = build_losses(model, batch, Tape() if tape is None else tape,
+    _, dist = build_losses(model, batch, Tape(recording=False) if tape is None else tape,
                            training=training and tape is not None, rng=rng,
                            need_factual=False, metric=metric)
     return float(dist.data[0, 0]) if tape is None else dist
@@ -151,6 +151,5 @@ def discriminative_distance(model: AdbcrModel, batch: BatchView, metric: str = "
 def validation_criterion(model: AdbcrModel, batch: BatchView, metric: str = "l1",
                          imbalance_weight: float = 1.0) -> float:
     """Factual loss plus weighted distance, eval mode, in one deterministic pass."""
-    tape = Tape()
-    loss, dist = build_losses(model, batch, tape, metric=metric)
+    loss, dist = build_losses(model, batch, Tape(recording=False), metric=metric)
     return float(loss.data[0, 0]) + imbalance_weight * float(dist.data[0, 0])

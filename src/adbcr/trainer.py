@@ -16,11 +16,11 @@ a_tarnet runs only the leading step_A; adbcr.baselines registers danncr.
 
 After every epoch the validation criterion (factual loss plus distance for
 adbcr/uadbcr, factual loss alone for a_tarnet and danncr) is evaluated on
-the full validation split in eval mode; the best epoch's parameters are
-returned and training stops once `patience` consecutive epochs fail to
-improve the criterion by more than IMPROVEMENT_EPS. Scalers fit on the
-training split are stored on the model, so predictions come back on the
-original scale.
+the full validation split in eval mode, on a tape that records nothing;
+the best epoch's parameters are returned and training stops once
+`patience` consecutive epochs fail to improve the criterion by more than
+IMPROVEMENT_EPS. Scalers fit on the training split are stored on the
+model, so predictions come back on the original scale.
 """
 from __future__ import annotations
 
@@ -239,7 +239,7 @@ def labeled_view(dataset: Dataset, split: int, scalers: Scalers,
 
 def evaluate_validation(model: AdbcrModel, val_view: BatchView, config: TrainConfig) -> EpochRecord:
     """Eval-mode validation quantities for one epoch, full split, one pass."""
-    loss, dist = build_losses(model, val_view, Tape(), metric=config.metric,
+    loss, dist = build_losses(model, val_view, Tape(recording=False), metric=config.metric,
                               need_distance=config.mode != "a_tarnet")
     factual = float(loss.data[0, 0])
     if dist is None:

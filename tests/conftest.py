@@ -4,10 +4,15 @@ Also the per-head forward (the reference for the stacked heads) and the lasso
 effect estimate, which only tests use.
 """
 import ctypes
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import adbcr
 from adbcr import blas, cli, data
 from adbcr.autodiff import Tape
 from adbcr.baselines import LassoModel
@@ -73,6 +78,16 @@ def blas_at_two_threads(monkeypatch):
         yield count
     finally:
         blas.set_threads(before)
+
+
+def run_fresh(script: str, *args) -> str:
+    """Run a Python script in a fresh interpreter with glibc's malloc defaults; its stdout."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(adbcr.__file__))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _rewrite_header(path: str, field: str, edit) -> None:

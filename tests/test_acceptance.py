@@ -212,6 +212,7 @@ def test_mode_reductions(bench_dataset):
 # ---------------------------------------------------------------------------
 # 05: searched adversarial training against its factual twin on the benchmark
 
+@pytest.mark.slow
 def test_balancing_benefit_over_factual_twin(benchmark_runs):
     records, elapsed = benchmark_runs
     adbcr = [r[0] for r in records]
@@ -256,6 +257,7 @@ def test_lasso_baseline_orderings():
 # ---------------------------------------------------------------------------
 # 07: intrinsic-criterion selection against the neighbour-proxy selection
 
+@pytest.mark.slow
 def test_intrinsic_selection_beats_nn_proxy(benchmark_runs):
     records, _ = benchmark_runs
     wins = sum(a <= p for a, _, p in records)

@@ -1,4 +1,6 @@
 """Engine tests: forward values, gradients against finite differences, Adam."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -291,6 +293,61 @@ def test_forward_bit_reproducible():
         h = autodiff.dropout(tape, h, 0.4, True, rng)
         outs.append(h.data.copy())
     np.testing.assert_array_equal(outs[0], outs[1])
+
+
+# ---------------------------------------------------------------------------
+# tapes that record nothing
+
+def _every_op(tape: Tape) -> list:
+    """One use of every op, parameters and a stack included; the nodes it makes."""
+    x = tape.constant(np.arange(12.0).reshape(4, 3) / 7.0 - 0.5)
+    w = tape.param("w", np.linspace(-1.0, 1.0, 6).reshape(3, 2))
+    stack = tape.param_stack(("s0", "s1"), np.linspace(-2.0, 2.0, 8).reshape(2, 2, 2))
+    h = autodiff.elu(tape, autodiff.matmul(tape, x, w))
+    h = autodiff.dropout(tape, h, 0.3, True, np.random.default_rng(4))
+    bias = tape.param_stack(("c0", "c1"), np.full((2, 1, 2), 0.25))
+    heads = autodiff.add(tape, autodiff.matmul(tape, h, stack), bias)
+    a = autodiff.take_rows(tape, heads, [3, 0, 3], member=0)
+    b = autodiff.scale(tape, autodiff.take_rows(tape, heads, [1, 2, 0], member=1), 0.5)
+    losses = [autodiff.mse_loss(tape, a, b), autodiff.l1_mean(tape, a, b),
+              autodiff.softmax_cross_entropy(tape, autodiff.sub(tape, a, b), [0, 1, 1])]
+    return [x, w, stack, h, heads, a, b, *losses]
+
+
+def test_non_recording_tape_keeps_no_graph():
+    """Every op gives the recording tape's bits, yet the tape holds no node,
+    no node keeps parents or a vjp, and parameters stay memoized."""
+    recorded, tape = _every_op(Tape()), Tape(recording=False)
+    loose = _every_op(tape)
+    for ref, node in zip(recorded, loose):
+        assert node.data.tobytes() == ref.data.tobytes()
+        assert node.parents == () and node.vjp is None
+    assert tape._nodes == []
+    assert tape.param("w", np.zeros((3, 2))) is loose[1]
+    assert tape.param_stack(("s0", "s1"), np.zeros((2, 2, 2))) is loose[2]
+    assert tape.params["s1"] is loose[2]
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_non_recording_tape_frees_intermediates(recording):
+    """Without a record an intermediate dies once its consumer returns; with one it lives on."""
+    tape = Tape(recording=recording)
+    x = tape.constant(np.ones((5, 3)))
+    hidden = autodiff.matmul(tape, x, tape.param("w", np.ones((3, 4))))
+    alive = weakref.ref(hidden.data)
+    out = autodiff.elu(tape, hidden)
+    del hidden
+    assert (alive() is not None) == recording
+    assert out.data.shape == (5, 4)
+
+
+def test_backward_on_non_recording_tape_raises():
+    tape = Tape(recording=False)
+    x = tape.param("x", np.array([[1.0]]))
+    root = autodiff.mse_loss(tape, x, tape.constant([[0.0]]))
+    with pytest.raises(ConfigError, match="recording=False"):
+        tape.backward(root)
+    assert x.grad is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,15 @@ import json
 import multiprocessing
 import os
 import platform
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
-import adbcr
 from adbcr import cli, data, evaluation
 from adbcr.errors import DatasetError
 from adbcr.model import load_model
 
-from conftest import rewrite_with, rewrite_without
+from conftest import rewrite_with, rewrite_without, run_fresh
 
 
 def run(argv) -> int:
@@ -463,16 +459,6 @@ def test_cli_keeps_the_blas_threads_the_environment_names(blas_at_two_threads, m
 
 # ---------------------------------------------------------------------------
 # allocator setting
-
-def run_fresh(script: str, *args) -> str:
-    """Run a Python script in a fresh interpreter with glibc's malloc defaults; its stdout."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(adbcr.__file__))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
 
 # One training step's tape in miniature: 40 arrays of 100 KB, all freed at its end.
 STEP_FAULTS = """

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adbcr import data
 from adbcr.data import (CSV_WRITE_ROWS, TEST, TRAIN, VAL, Dataset, DgpConfig, generate,
                         load_csv, save_csv, split, strip_outcomes)
 from adbcr.errors import ConfigError, DatasetError, ParseError
@@ -332,6 +333,58 @@ def test_csv_duplicate_header_rejected(tmp_path, name):
     assert err.value.column == name
 
 
+@pytest.mark.parametrize("header, position", [
+    ("t,y_factual,x0,", 4),      # a trailing comma
+    (",t,y_factual,x0", 1),      # pandas' to_csv writes its row index under an empty name
+    ("t,y_factual, ,x0", 3),
+])
+def test_csv_empty_header_name_rejected(tmp_path, header, position):
+    path = tmp_path / "unnamed.csv"
+    path.write_text(f"{header}\n0,1.0,2.0,3.0\n")
+    with pytest.raises(ParseError, match=f"empty name for header column {position}$"):
+        load_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# CSV blocks: load_csv converts CSV_READ_ROWS records at a time
+
+GOOD_ROWS = ["0,1.0,2.0", "1,1.5,-2.0", "0,0.5,3.5", "1,2.5,0.25", "1,-1.0,1.0"]
+
+
+def write_rows(path, edits: dict[int, str]) -> str:
+    """t,y_factual,x0 and GOOD_ROWS with the records on the given file rows (header = 1) replaced."""
+    lines = ["t,y_factual,x0", *GOOD_ROWS]
+    for row, line in edits.items():
+        lines[row - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({6: "1,oops,1.0"}, "non-numeric value 'oops' (row 6, column 'y_factual')"),
+    ({5: "1,2.5,inf"}, "non-finite value 'inf' (row 5, column 'x0')"),
+    ({6: "1,-1.0"}, "expected 3 fields, got 2 (row 6)"),
+    ({5: "1,2.5,0.25,7"}, "expected 3 fields, got 4 (row 5)"),
+    ({4: "0,0.5", 5: "1,2.5"}, "expected 3 fields, got 2 (row 4)"),   # one block all short
+    ({5: "2,2.5,0.25"}, f"treatment must be 0 or 1, got {np.float64(2.0)!r} (row 5, column 't')"),
+    ({3: "1,1.5,oops", 6: "2,-1.0,1.0"},
+     f"treatment must be 0 or 1, got {np.float64(2.0)!r} (row 6, column 't')"),
+    ({2: "0,1.0,nan", 6: "abc,-1.0,1.0"}, "non-numeric value 'abc' (row 6, column 't')"),
+    ({2: "0,x,1.0", 5: "1,2.5,y"}, "non-numeric value 'y' (row 5, column 'x0')"),
+], ids=["non-numeric", "non-finite", "short-record", "long-record", "short-block",
+        "treatment-value", "treatment-after-covariate", "treatment-cell-after-covariate",
+        "covariate-before-outcome"])
+def test_csv_errors_in_later_blocks_name_the_first_bad_cell(tmp_path, monkeypatch, edits,
+                                                            message):
+    """With two records per block, a bad record in a later block, or bad cells in
+    several, give the whole-file column order's error: t (and its 0/1 check),
+    then the covariates, then y_factual."""
+    monkeypatch.setattr(data, "CSV_READ_ROWS", 2)
+    with pytest.raises(ParseError) as err:
+        load_csv(write_rows(tmp_path / "bad.csv", edits))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # CSV properties against per-cell references
 
@@ -376,8 +429,9 @@ def datasets(draw) -> Dataset:
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(ds=datasets())
-def test_csv_round_trip_bit_exact_and_writer_bytes(tmp_path, ds):
+@given(ds=datasets(), read_rows=st.integers(1, 7))
+def test_csv_round_trip_bit_exact_and_writer_bytes(tmp_path, monkeypatch, ds, read_rows):
+    monkeypatch.setattr(data, "CSV_READ_ROWS", read_rows)
     path, reference = str(tmp_path / "d.csv"), str(tmp_path / "ref.csv")
     save_csv(ds, path)
     save_csv_reference(ds, reference)
@@ -438,8 +492,10 @@ def load_outcome_reference(table: list[list[str]]):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=st.lists(st.lists(st.sampled_from(SPELLINGS) | st.sampled_from(("0", "1")),
-                               min_size=4, max_size=4), min_size=1, max_size=4))
-def test_csv_cell_spellings_match_float(tmp_path, table):
+                               min_size=4, max_size=4), min_size=1, max_size=4),
+       read_rows=st.integers(1, 5))
+def test_csv_cell_spellings_match_float(tmp_path, monkeypatch, table, read_rows):
+    monkeypatch.setattr(data, "CSV_READ_ROWS", read_rows)
     path = tmp_path / "cells.csv"
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerows([CELL_COLUMNS, *table])

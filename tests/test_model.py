@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
                          read_checkpoint, write_checkpoint)
+from adbcr.trainer import TrainConfig
 
 from conftest import forward_head, rewrite_with, rewrite_without
 
@@ -161,6 +163,26 @@ def test_predict_batch_order_invariant():
     p0, p1 = model.predict_potential_outcomes(x[perm])
     np.testing.assert_array_equal(p0, y0[perm])
     np.testing.assert_array_equal(p1, y1[perm])
+
+
+def test_predict_frees_each_layer_as_it_goes():
+    """predict on the default net holds at most a few layers' activations at once.
+
+    Its traced peak stays under four head stacks (R x n x width float64);
+    a forward that records its tape keeps every layer, about eight.
+    """
+    config, n, d = TrainConfig(), 4000, 10
+    model = AdbcrModel(d, config.shared_layers, config.head_layers, config.dropout_p, seed=0)
+    x = np.random.default_rng(3).normal(size=(n, d))
+    model.predict_potential_outcomes(x[:8])
+    head_stack = 4 * n * config.head_layers[0] * 8
+    tracemalloc.start()
+    try:
+        model.predict_potential_outcomes(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * head_stack
 
 
 def test_dropout_zero_training_equals_eval():

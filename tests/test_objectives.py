@@ -1,8 +1,11 @@
 """Loss terms: factual sum, discriminative distance, validation criterion."""
+import pickle
+
 import numpy as np
 import pytest
 
-from adbcr import autodiff, objectives
+from adbcr import autodiff, baselines, objectives, trainer
+from adbcr import model as model_module
 from adbcr.autodiff import Tape, grads_for
 from adbcr.baselines import DanncrModel
 from adbcr.errors import BatchCompositionError, ConfigError, DimensionError
@@ -350,3 +353,48 @@ def test_stacked_step_objectives_and_gradients_equal_per_head(kind, step, metric
     grads, ref_grads = grads_for(tape, names), grads_for(ref_tape, names)
     for name in names:
         np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# eval-only forwards on a tape that records nothing
+
+def _as_recorded(monkeypatch, module) -> list:
+    """Make module build recording tapes only; returns the recording flag of each request."""
+    asked = []
+
+    def recording_tape(recording=True):
+        asked.append(recording)
+        return Tape()
+
+    monkeypatch.setattr(module, "Tape", recording_tape)
+    return asked
+
+
+EVAL_SITES = {
+    "predict-adbcr": (model_module, AdbcrModel, lambda m, v: m.predict_potential_outcomes(v.x)),
+    "predict-danncr": (model_module, DanncrModel,
+                       lambda m, v: m.predict_potential_outcomes(v.x)),
+    "evaluate_validation-adbcr": (trainer, AdbcrModel, lambda m, v: trainer.evaluate_validation(
+        m, v, trainer.TrainConfig(metric="squared", imbalance_weight=0.5))),
+    "evaluate_validation-a_tarnet": (trainer, AdbcrModel, lambda m, v: trainer.evaluate_validation(
+        m, v, trainer.TrainConfig(mode="a_tarnet"))),
+    "danncr_validation": (baselines, DanncrModel, baselines.danncr_validation),
+    "validation_criterion": (objectives, AdbcrModel,
+                             lambda m, v: validation_criterion(m, v, "l1", 0.7)),
+    "factual_loss": (objectives, AdbcrModel, factual_loss),
+    "discriminative_distance": (objectives, AdbcrModel, discriminative_distance),
+}
+
+
+@pytest.mark.parametrize("site", list(EVAL_SITES))
+def test_eval_sites_use_a_non_recording_tape_bit_equal(monkeypatch, site):
+    """Each eval-only forward asks for a tape that records nothing and gives
+    the bits it gives on a recording tape."""
+    module, network, call = EVAL_SITES[site]
+    model = network(3, (6, 5), (4, 3), dropout_p=0.3, seed=4)
+    view = random_batch(seed=2, n=14, unlabeled=5)
+    loose = pickle.dumps(call(model, view))
+    asked = _as_recorded(monkeypatch, module)
+    recorded = pickle.dumps(call(model, view))
+    assert asked == [False]
+    assert loose == recorded
