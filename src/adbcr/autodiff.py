@@ -27,8 +27,7 @@ matmul, add, elu, dropout and take_rows run a stack as one op, and member r
 of every result and gradient is bit for bit the 2-d op's on member r: numpy
 makes one BLAS call per member, with the 2-d strides. A matrix times a stack
 gets its gradient summed one member at a time, last first, as R separate
-2-d graphs would add it. Tape.param_stack holds R named parameters as one
-stacked node.
+2-d graphs would add it. A parameter may be a stack too: one named leaf.
 
 The op set is exactly what fully-connected networks with ELU activations,
 inverted dropout, mean losses, and row slicing need. Everything is float64:
@@ -44,10 +43,12 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, TrainingError
 
 
-def _as_tensor(value, ndim: int = 2) -> np.ndarray:
+def _as_tensor(value, stack: bool = False) -> np.ndarray:
+    """value as contiguous float64: a matrix, or with stack also a 3-d stack of them."""
     arr = np.ascontiguousarray(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise DimensionError(f"expected a {ndim}-d tensor, got shape {arr.shape}")
+    if arr.ndim != 2 and not (stack and arr.ndim == 3):
+        raise DimensionError(f"expected a {'2-d or 3-d' if stack else '2-d'} tensor, "
+                             f"got shape {arr.shape}")
     return arr
 
 
@@ -72,8 +73,7 @@ class Tensor:
 class Tape:
     """Records tensors in creation order; backward() walks them in reverse.
 
-    params maps each parameter name to the node that holds it: its own
-    node, or for a stack member the stack's node. With recording=False the
+    params maps each parameter name to its node. With recording=False the
     tape keeps no node and no node keeps its parents or vjp (module
     docstring), so it cannot run backward.
     """
@@ -82,7 +82,6 @@ class Tape:
         self._recording = recording
         self._nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
-        self._members: dict[str, int] = {}
 
     def _record(self, tensor: Tensor) -> Tensor:
         if not self._recording:
@@ -97,40 +96,26 @@ class Tape:
         return self._record(Tensor(_as_tensor(value)))
 
     def param(self, name: str, value: np.ndarray) -> Tensor:
-        """Leaf node for a named parameter; memoized so every use shares one node."""
+        """Leaf node for a named parameter, matrix or stack; memoized so every use shares one."""
         node = self.params.get(name)
         if node is None:
-            node = self._record(Tensor(_as_tensor(value)))
+            node = self._record(Tensor(_as_tensor(value, stack=True)))
             self.params[name] = node
         return node
 
-    def param_stack(self, names: tuple[str, ...], value: np.ndarray) -> Tensor:
-        """Leaf node for a 3-d stack whose member r is the parameter names[r]; memoized."""
-        node = self.params.get(names[0])
-        if node is None:
-            node = self._record(Tensor(_as_tensor(value, 3)))
-            if node.shape[0] != len(names):
-                raise DimensionError(f"{len(names)} names for a stack of {node.shape[0]}")
-            for member, name in enumerate(names):
-                self.params[name] = node
-                self._members[name] = member
-        return node
-
     def grad(self, name: str) -> np.ndarray:
-        """The named parameter's gradient after backward; a stack member's is a view."""
-        node = self.params[name]
-        member = self._members.get(name)
-        return node.grad if member is None else node.grad[member]
+        """The named parameter's gradient after backward."""
+        return self.params[name].grad
 
     def backward(self, root: Tensor, wrt: Iterable[str] | None = None) -> None:
         """Set each wanted parameter's grad to d(root)/d(parameter).
 
         wrt names the wanted parameters; None wants every parameter on the
-        tape; wanting one member of a stack differentiates the whole stack. The
-        root must be scalar (1x1) and its grad is 1. Nodes between the root
-        and a wanted parameter hold their gradients afterwards; every other
-        node's grad is None, except a wanted parameter the root never
-        reaches, which gets zeros. Tape.grad reads a parameter's gradient.
+        tape. The root must be scalar (1x1) and its grad is 1. Nodes between
+        the root and a wanted parameter hold their gradients afterwards;
+        every other node's grad is None, except a wanted parameter the root
+        never reaches, which gets zeros. Tape.grad reads a parameter's
+        gradient.
         """
         if not self._recording:
             raise ConfigError("backward on a tape built with recording=False: "
@@ -374,47 +359,19 @@ def softmax_cross_entropy(tape: Tape, logits: Tensor, labels) -> Tensor:
 class ParamSet:
     """Ordered, named collection of parameter arrays (weights and biases).
 
-    Holds plain float64 matrices that optimizers update in place; it carries
+    Holds plain float64 arrays that optimizers update in place; it carries
     no optimizer state itself, so several optimizers can own disjoint or
-    overlapping views of the same parameters. make_stack moves same-shaped
-    parameters into one 3-d stack; their names stay in place as views of
-    its members, so an update through either side shows in both.
+    overlapping views of the same parameters. A parameter is a matrix or a
+    3-d stack of same-shaped matrices.
     """
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
-        self._stacks: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
 
     def add(self, name: str, array: np.ndarray) -> None:
         if name in self._arrays:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._arrays[name] = _as_tensor(array)
-
-    def make_stack(self, key: str, names) -> None:
-        """Hold the named parameters' values as one stack under key, member r = names[r]."""
-        names = tuple(names)
-        self._stacks[key] = (np.stack([self._arrays[name] for name in names]), names)
-        self._link(key)
-
-    def _link(self, key: str) -> None:
-        stack, names = self._stacks[key]
-        for name, member in zip(names, stack):
-            self._arrays[name] = member
-
-    def stack(self, key: str) -> tuple[np.ndarray, tuple[str, ...]]:
-        """The stack held under key, and the names of its members."""
-        return self._stacks[key]
-
-    def __getstate__(self) -> dict:
-        # Pickle copies arrays apart, so each stack goes once and its members by name only.
-        members = {name for _, names in self._stacks.values() for name in names}
-        return {"_arrays": {k: None if k in members else v for k, v in self._arrays.items()},
-                "_stacks": self._stacks}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        for key in self._stacks:
-            self._link(key)
+        self._arrays[name] = _as_tensor(array, stack=True)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -482,9 +439,12 @@ class Adam:
         """One update from a full set of gradients for this optimizer's parameters."""
         g = _flat(grads[name] for name in self._params)
         if not np.isfinite(g).all():
-            bad = next(name for name, sl in zip(self._params, self._slices)
-                       if not np.isfinite(g[sl]).all())
-            raise TrainingError(f"non-finite gradient for parameter {bad!r}")
+            for (name, p), sl in zip(self._params.items(), self._slices):
+                bad = np.flatnonzero(~np.isfinite(g[sl]))
+                if bad.size:
+                    # A stack's members are separate parameters to its owner: name the member.
+                    member = f" member {bad[0] // p[0].size}" if p.ndim == 3 else ""
+                    raise TrainingError(f"non-finite gradient for parameter {name!r}{member}")
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t

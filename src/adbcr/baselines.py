@@ -318,7 +318,7 @@ def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
 
 def _danncr_phases(model: DanncrModel, config: TrainConfig, val_view: BatchView):
     """[predict, discriminate, confuse]; adversary_weight is the reversal coefficient."""
-    opt_predict = phase_optimizer(model, config, "phi.", "head.")
+    opt_predict = phase_optimizer(model, config, "phi.", "heads.")
     opt_disc = phase_optimizer(model, config, "disc.")
     opt_confuse = phase_optimizer(model, config, "phi.")
     return [

@@ -83,8 +83,10 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.
     """Effect error against nearest-neighbour-imputed counterfactual outcomes.
 
     Distances are Euclidean on covariates standardized over the given rows;
-    ties break toward the lowest row index. Memory stays within about
-    NN_BLOCK_BYTES whatever the number of rows.
+    ties break toward the lowest row index. The distance blocks stay within
+    about NN_BLOCK_BYTES whatever the number of rows, but the standardized
+    copy of x, its per-arm copies and the x - mean temporary grow with n:
+    peaks of about 10, 13 and 19 MiB at 5k, 27k and 60k rows of 10 columns.
 
     tau_hat is one estimate, shape (n,), scored as a float; or k estimates
     stacked as (k, n), scored as an array of k floats against one
@@ -94,6 +96,8 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.
     t = np.asarray(t)
     y = np.asarray(y, dtype=np.float64)
     tau = np.asarray(tau_hat, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"nn_pehe needs 2-d covariates, got shape {x.shape}")
     n = x.shape[0]
     stacked = tau.ndim == 2 and tau.shape[1] == n
     if not stacked:

@@ -5,10 +5,10 @@ layers (linear, ELU, dropout) and feeds the result to the outcome heads of
 each treatment arm that a subclass declares in `ARMS` (two per arm for
 `AdbcrModel`, one for `adbcr.baselines.DanncrModel`), plus any extra stacks.
 The heads all have one shape and read the same input, so each head layer's
-weights and biases are held as one stack with a member per head, and
+weights and biases are one stacked parameter with a member per head, and
 `forward_heads` runs the shared stack once, then every head at once as one
-stacked dense stack. The named per-head parameters are views of the
-members, so checkpoints, optimizers and snapshots see one array per head.
+stacked dense stack. Only the checkpoint names each head's arrays on its
+own (`Network.checkpoint_arrays`), so its layout is one matrix per head.
 Predictions average each arm's heads and are de-standardized with scalers
 learned from the training split. `load` checks every header field it reads
 and every stored parameter's name and shape.
@@ -128,8 +128,8 @@ class Network:
     holds further (prefix, output width). Each stack, initialized in that
     order from a seed stream named after its prefix, has the head_layers
     hidden widths and a purely linear output layer. The heads, in ARMS
-    order, are the members of the stacks "heads.<layer>.w" and
-    "heads.<layer>.b" of params.
+    order, are the members of the stacked parameters "heads.<layer>.w" and
+    "heads.<layer>.b"; the checkpoint names them "<head prefix>.<layer>.w|b".
     """
 
     kind: str
@@ -151,16 +151,33 @@ class Network:
         self.params = ParamSet()
         init_dense(self.params, "phi", [self.input_dim, *self.shared_layers],
                    generator(seed, "init", "phi"))
-        heads = [prefix for arm in self.ARMS for prefix in arm]
+        self.head_prefixes = tuple(prefix for arm in self.ARMS for prefix in arm)
         # Member indices of each arm's heads in forward_heads' output.
         self.arm_members = (tuple(range(len(self.ARMS[0]))),
-                            tuple(range(len(self.ARMS[0]), len(heads))))
-        for prefix, width in [(p, 1) for p in heads] + list(self.EXTRA_STACKS):
+                            tuple(range(len(self.ARMS[0]), len(self.head_prefixes))))
+        heads = []
+        for prefix in self.head_prefixes:
+            heads.append(ParamSet())
+            init_dense(heads[-1], "heads", [self.shared_layers[-1], *self.head_layers, 1],
+                       generator(seed, "init", prefix))
+        for name in heads[0].names():
+            self.params.add(name, np.stack([head[name] for head in heads]))
+        for prefix, width in self.EXTRA_STACKS:
             init_dense(self.params, prefix, [self.shared_layers[-1], *self.head_layers, width],
                        generator(seed, "init", prefix))
-        for i in range(len(self.head_layers) + 1):
-            for part in "wb":
-                self.params.make_stack(f"heads.{i}.{part}", [f"{p}.{i}.{part}" for p in heads])
+
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter under its checkpoint name, in checkpoint order.
+
+        The trunk, then each head's layers in ARMS order as views of its
+        stack members ("head.0.1.0.w" is member 1 of "heads.0.w"), then the
+        extra stacks. Writing into a view writes into the stack.
+        """
+        heads = {prefix + name.removeprefix("heads"): stack[member]
+                 for member, prefix in enumerate(self.head_prefixes)
+                 for name, stack in self.params.subset("heads.").items()}
+        return {**self.params.subset("phi."), **heads,
+                **self.params.subset(*(f"{prefix}." for prefix, _ in self.EXTRA_STACKS))}
 
     def _layers(self, tape: Tape, prefix: str, n_layers: int):
         return [(tape.param(f"{prefix}.{i}.w", self.params[f"{prefix}.{i}.w"]),
@@ -175,7 +192,7 @@ class Network:
     def stack_forward(self, tape: Tape, prefix: str, h: autodiff.Tensor,
                       training: bool = False,
                       rng: np.random.Generator | None = None) -> autodiff.Tensor:
-        """One dense stack on h, by its prefix: an extra stack, or a single head."""
+        """One dense stack on h, by its prefix: an extra stack, or "heads" for every head."""
         return dense_forward(tape, self._layers(tape, prefix, len(self.head_layers) + 1), h,
                              self.dropout_p, training, rng, final_plain=True)
 
@@ -188,10 +205,7 @@ class Network:
         drawing dropout as the heads one after another would.
         """
         h = self.phi_forward(tape, x, training, rng)
-        layers = [tuple(tape.param_stack(names, stack) for stack, names in
-                        (self.params.stack(f"heads.{i}.{part}") for part in "wb"))
-                  for i in range(len(self.head_layers) + 1)]
-        return h, dense_forward(tape, layers, h, self.dropout_p, training, rng, final_plain=True)
+        return h, self.stack_forward(tape, "heads", h, training, rng)
 
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""
@@ -214,7 +228,7 @@ class Network:
              data_seed: int | None = None,
              split_fractions: tuple[float, float, float] | None = None) -> None:
         arch = {key: getattr(self, key) for key in NETWORK_ARCH_FIELDS}
-        write_checkpoint(path, self.kind, arch, dict(self.params.items()),
+        write_checkpoint(path, self.kind, arch, self.checkpoint_arrays(),
                          {"scalers": _scalers_to_header(self.scalers)},
                          config=config, validation_criterion=validation_criterion,
                          data_seed=data_seed, split_fractions=split_fractions)
@@ -224,8 +238,10 @@ class Network:
         """Rebuild a saved network; the arrays must match its architecture exactly."""
         model = cls(*(header_field(header, f"arch.{key}", valid)
                       for key, valid in NETWORK_ARCH_FIELDS.items()))
-        check_arrays(arrays, {name: a.shape for name, a in model.params.items()})
-        model.params.restore(arrays)
+        targets = model.checkpoint_arrays()
+        check_arrays(arrays, {name: a.shape for name, a in targets.items()})
+        for name, target in targets.items():
+            target[...] = arrays[name]
         model.scalers = scalers_from_header(header, model.input_dim)
         return model
 

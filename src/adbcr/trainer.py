@@ -280,7 +280,13 @@ class HistoryWriter:
 
 
 def phase_optimizer(model: Network, config: TrainConfig, *prefixes: str) -> Adam:
-    """A phase's own Adam over the parameters whose names start with a prefix."""
+    """A phase's own Adam over the parameters whose names start with a prefix.
+
+    ConfigError if a prefix matches no parameter: that phase would update nothing.
+    """
+    unmatched = [p for p in prefixes if not model.params.subset(p)]
+    if unmatched:
+        raise ConfigError(f"parameter prefixes {unmatched} match no {model.kind} parameter")
     return Adam(model.params.subset(*prefixes), config.learning_rate, config.weight_decay)
 
 
@@ -329,10 +335,10 @@ def run_epochs(model: Network, train_view: BatchView, config: TrainConfig,
 
 def _net_phases(model: AdbcrModel, config: TrainConfig, val_view: BatchView):
     """a_tarnet: [A]; adbcr and uadbcr: [A, B, C] plus a trailing A if configured."""
-    opt_a = phase_optimizer(model, config, "phi.", "head.")
+    opt_a = phase_optimizer(model, config, "phi.", "heads.")
     phases = [lambda batch, rng: step_A(model, batch, opt_a, rng)]
     if config.mode != "a_tarnet":
-        opt_b = phase_optimizer(model, config, "head.")
+        opt_b = phase_optimizer(model, config, "heads.")
         opt_c = phase_optimizer(model, config, "phi.")
         phases.append(lambda batch, rng: step_B(model, batch, opt_b, config.adversary_weight,
                                                 rng, config.metric))

@@ -16,7 +16,7 @@ import adbcr
 from adbcr import blas, cli, data
 from adbcr.autodiff import Tape
 from adbcr.baselines import LassoModel
-from adbcr.model import Network, read_checkpoint, write_checkpoint
+from adbcr.model import Network, dense_forward, read_checkpoint, write_checkpoint
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -112,17 +112,43 @@ def rewrite_with(path: str, field: str, value) -> None:
     _rewrite_header(path, field, lambda section, key: section.__setitem__(key, value))
 
 
+def head_forward(model: Network, tape: Tape, prefix: str, h, training: bool = False,
+                 rng: np.random.Generator | None = None):
+    """The head named prefix ("head.1.0", say) on h, as its own dense stack.
+
+    Its layers are 2-d parameters under their checkpoint names, holding the
+    stack members that Network.checkpoint_arrays names.
+    """
+    arrays = model.checkpoint_arrays()
+    layers = [tuple(tape.param(f"{prefix}.{i}.{part}", arrays[f"{prefix}.{i}.{part}"])
+                    for part in "wb") for i in range(len(model.head_layers) + 1)]
+    return dense_forward(tape, layers, h, model.dropout_p, training, rng, final_plain=True)
+
+
 def per_head_forward(model: Network, tape: Tape, x: np.ndarray, training: bool = False,
                      rng: np.random.Generator | None = None):
     """(h, outs): the representation of x, and outs[t][r] = head r of arm t as its own graph.
 
     The reference for Network.forward_heads: each head runs as its own
-    dense stack via stack_forward, one after another in ARMS order, which
+    dense stack (head_forward), one after another in ARMS order, which
     fixes the order of the dropout draws.
     """
     h = model.phi_forward(tape, tape.constant(model._check_columns(x)), training, rng)
-    return h, [[model.stack_forward(tape, prefix, h, training, rng) for prefix in arm]
+    return h, [[head_forward(model, tape, prefix, h, training, rng) for prefix in arm]
                for arm in model.ARMS]
+
+
+def by_checkpoint_name(model: Network, arrays: dict) -> dict:
+    """arrays keyed like model.params (gradients, say), each head stack split into its
+    members under their checkpoint names."""
+    named = {}
+    for name, array in arrays.items():
+        if name.startswith("heads."):
+            named.update({f"{prefix}.{name[len('heads.'):]}": member
+                          for prefix, member in zip(model.head_prefixes, array)})
+        else:
+            named[name] = array
+    return named
 
 
 def forward_head(model: Network, x: np.ndarray, t: int, r: int, training: bool = False,

@@ -178,7 +178,7 @@ def test_phase_freezes_hold_over_full_epoch(bench_dataset):
     model = AdbcrModel(bench_dataset.x.shape[1], (8,), (6,), dropout_p=0.1, seed=3)
     rng = generator(3, "epoch")
     batches = make_batches(view, 40, rng)
-    opt_heads = Adam(model.params.subset("head."), lr=1e-3)
+    opt_heads = Adam(model.params.subset("heads."), lr=1e-3)
     opt_phi = Adam(model.params.subset("phi."), lr=1e-3)
     phi_ok = heads_ok = True
     for batch in batches:
@@ -186,7 +186,7 @@ def test_phase_freezes_hold_over_full_epoch(bench_dataset):
         step_B(model, batch, opt_heads, 1.0, rng)
         phi_ok = phi_ok and all(np.array_equal(a, model.params[k])
                                 for k, a in before.items())
-        before = {k: a.copy() for k, a in model.params.subset("head.").items()}
+        before = {k: a.copy() for k, a in model.params.subset("heads.").items()}
         step_C(model, batch, opt_phi, 2, rng)
         heads_ok = heads_ok and all(np.array_equal(a, model.params[k])
                                     for k, a in before.items())

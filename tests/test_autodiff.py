@@ -257,7 +257,7 @@ def test_backward_wrt_heads_matches_full_and_skips_trunk():
     rng = np.random.default_rng(8)
     batch = BatchView(x=rng.normal(size=(12, 3)), t=np.arange(12) % 2,
                       y=rng.normal(size=12))
-    heads = list(model.params.subset("head."))
+    heads = list(model.params.subset("heads."))
     full_tape, full_root = _dropout_loss_graph(model, batch, seed=5)
     full_tape.backward(full_root)
     tape, root = _dropout_loss_graph(model, batch, seed=5)
@@ -302,10 +302,10 @@ def _every_op(tape: Tape) -> list:
     """One use of every op, parameters and a stack included; the nodes it makes."""
     x = tape.constant(np.arange(12.0).reshape(4, 3) / 7.0 - 0.5)
     w = tape.param("w", np.linspace(-1.0, 1.0, 6).reshape(3, 2))
-    stack = tape.param_stack(("s0", "s1"), np.linspace(-2.0, 2.0, 8).reshape(2, 2, 2))
+    stack = tape.param("s", np.linspace(-2.0, 2.0, 8).reshape(2, 2, 2))
     h = autodiff.elu(tape, autodiff.matmul(tape, x, w))
     h = autodiff.dropout(tape, h, 0.3, True, np.random.default_rng(4))
-    bias = tape.param_stack(("c0", "c1"), np.full((2, 1, 2), 0.25))
+    bias = tape.param("c", np.full((2, 1, 2), 0.25))
     heads = autodiff.add(tape, autodiff.matmul(tape, h, stack), bias)
     a = autodiff.take_rows(tape, heads, [3, 0, 3], member=0)
     b = autodiff.scale(tape, autodiff.take_rows(tape, heads, [1, 2, 0], member=1), 0.5)
@@ -324,8 +324,7 @@ def test_non_recording_tape_keeps_no_graph():
         assert node.parents == () and node.vjp is None
     assert tape._nodes == []
     assert tape.param("w", np.zeros((3, 2))) is loose[1]
-    assert tape.param_stack(("s0", "s1"), np.zeros((2, 2, 2))) is loose[2]
-    assert tape.params["s1"] is loose[2]
+    assert tape.param("s", np.zeros((2, 2, 2))) is loose[2]
 
 
 @pytest.mark.parametrize("recording", [True, False])
@@ -508,11 +507,16 @@ def member_names(group: str, array: np.ndarray) -> tuple[str, ...]:
     return tuple(f"{group}{r}" for r in range(array.shape[0])) if array.ndim == 3 else (group,)
 
 
+def member_grads(tape: Tape, group: str, array: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradient of the parameter group, split into its members under member_names."""
+    grad = tape.grad(group)
+    return dict(zip(member_names(group, array), grad if array.ndim == 3 else [grad]))
+
+
 def stacked_graph(arrays, uniforms, takes, targets):
     """Dropout(ELU(a @ w + b)) on stacks, each member's rows taken into one summed mse."""
     tape = Tape()
-    nodes = {group: tape.param_stack(member_names(group, array), array) if array.ndim == 3
-             else tape.param(group, array) for group, array in arrays.items()}
+    nodes = {group: tape.param(group, array) for group, array in arrays.items()}
     out = autodiff.add(tape, autodiff.matmul(tape, nodes["a"], nodes["w"]), nodes["b"])
     out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, True, None, uniforms)
     root = None
@@ -556,17 +560,16 @@ def test_stacked_ops_match_finite_differences(wanted, seed, members, rows, fan_i
     case = stacked_case(seed, members, rows, fan_in, fan_out, stacked_input)
     arrays = case[0]
     tape, _, root = stacked_graph(*case)
-    tape.backward(root, [name for group in wanted
-                         for name in member_names(group, arrays[group])])
+    tape.backward(root, wanted)
     for group, array in arrays.items():
-        names = member_names(group, array)
         if group not in wanted:
-            assert all(tape.params[name].grad is None for name in names)
+            assert tape.params[group].grad is None
             continue
-        for name, part in zip(names, array if array.ndim == 3 else [array]):
+        grads = member_grads(tape, group, array)
+        for name, part in zip(grads, array if array.ndim == 3 else [array]):
             numeric = finite_difference(lambda: stacked_graph(*case)[2].data[0, 0], part)
             # The floor sits above central differences' rounding error of about 1e-10.
-            worst = rel_err(tape.grad(name), numeric, floor=1e-3).max()
+            worst = rel_err(grads[name], numeric, floor=1e-3).max()
             assert worst < 1e-5, f"{name}: worst relative error {worst:.3g}"
 
 
@@ -584,14 +587,17 @@ def test_stacked_ops_equal_per_member_ops(seed, members, rows, fan_in, fan_out, 
         np.testing.assert_array_equal(out.data[member], ref_out.data)
     tape.backward(root)
     ref_tape.backward(ref_root)
+    grads = {name: grad for group, array in case[0].items()
+             for name, grad in member_grads(tape, group, array).items()}
+    assert sorted(grads) == sorted(ref_tape.params)
     for name in ref_tape.params:
-        np.testing.assert_array_equal(tape.grad(name), ref_tape.grad(name), err_msg=name)
+        np.testing.assert_array_equal(grads[name], ref_tape.grad(name), err_msg=name)
 
 
 def test_stacked_shapes_checked():
     tape = Tape()
     matrix = tape.constant(np.ones((4, 3)))
-    stack = tape.param_stack(("s0", "s1"), np.ones((2, 3, 5)))
+    stack = tape.param("s", np.ones((2, 3, 5)))
     with pytest.raises(DimensionError):
         autodiff.matmul(tape, tape.constant(np.ones((3, 4, 3))), stack)
     with pytest.raises(DimensionError):
@@ -606,8 +612,9 @@ def test_stacked_shapes_checked():
         autodiff.take_rows(tape, matrix, [0], 1)
     with pytest.raises(DimensionError):
         autodiff.dropout(tape, out, 0.5, True, None, np.ones((2, 4, 4)))
-    with pytest.raises(DimensionError):
-        tape.param_stack(("t0",), np.ones((2, 3, 5)))
+    for shape in ((5,), (2, 2, 3, 5)):
+        with pytest.raises(DimensionError):
+            tape.param("t", np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +762,21 @@ def test_adam_rejects_non_finite_gradient():
         opt.step({"w": np.array([[np.nan]])})
     # the failed step must not have moved the parameters
     np.testing.assert_array_equal(p["w"], [[1.0]])
+
+
+def test_adam_non_finite_error_names_the_stack_member():
+    """A stacked parameter's bad gradient is named down to its first bad member."""
+    params = {"w": np.ones((2, 2)), "heads.1.w": np.ones((4, 3, 2))}
+    opt = Adam(params, lr=0.1)
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    grads["heads.1.w"][2, 1, 0] = np.nan
+    grads["heads.1.w"][3, 0, 1] = np.inf
+    with pytest.raises(TrainingError, match=r"parameter 'heads\.1\.w' member 2$"):
+        opt.step(grads)
+    grads["w"][0, 1] = np.nan
+    with pytest.raises(TrainingError, match=r"parameter 'w'$"):
+        opt.step(grads)
+    assert opt.step_count == 0
 
 
 def test_adam_rejects_negative_lr():

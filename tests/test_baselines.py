@@ -15,7 +15,7 @@ from adbcr.objectives import BatchView
 from adbcr.seeding import generator
 from adbcr.trainer import TrainConfig
 
-from conftest import lasso_cate, small_benchmark
+from conftest import head_forward, lasso_cate, small_benchmark
 
 
 def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, intercept: float,
@@ -264,7 +264,7 @@ def test_danncr_predict_step_freezes_discriminator():
     batch = separable_batch(0)
     model = DanncrModel(3, (8,), (6,), dropout_p=0.1, seed=0)
     disc_before = {k: v.copy() for k, v in model.params.subset("disc.").items()}
-    opt = Adam(model.params.subset("phi.", "head."), lr=1e-3)
+    opt = Adam(model.params.subset("phi.", "heads."), lr=1e-3)
     danncr_step_predict(model, batch, opt, generator(0, "dropout"))
     for name, value in disc_before.items():
         np.testing.assert_array_equal(model.params[name], value)
@@ -273,7 +273,7 @@ def test_danncr_predict_step_freezes_discriminator():
 def test_danncr_discriminate_step_freezes_predictors():
     batch = separable_batch(1)
     model = DanncrModel(3, (8,), (6,), dropout_p=0.1, seed=1)
-    frozen = {k: v.copy() for k, v in model.params.subset("phi.", "head.").items()}
+    frozen = {k: v.copy() for k, v in model.params.subset("phi.", "heads.").items()}
     disc_before = {k: v.copy() for k, v in model.params.subset("disc.").items()}
     opt = Adam(model.params.subset("disc."), lr=1e-3)
     danncr_step_discriminate(model, batch, opt, generator(1, "dropout"))
@@ -285,7 +285,7 @@ def test_danncr_discriminate_step_freezes_predictors():
 def test_danncr_confuse_step_touches_only_phi():
     batch = separable_batch(2)
     model = DanncrModel(3, (8,), (6,), dropout_p=0.1, seed=2)
-    frozen = {k: v.copy() for k, v in model.params.subset("head.", "disc.").items()}
+    frozen = {k: v.copy() for k, v in model.params.subset("heads.", "disc.").items()}
     phi_before = {k: v.copy() for k, v in model.params.subset("phi.").items()}
     opt = Adam(model.params.subset("phi."), lr=1e-3)
     danncr_step_confuse(model, batch, opt, 1.0, generator(2, "dropout"))
@@ -329,7 +329,7 @@ def test_danncr_validation_forwards_phi_once(monkeypatch):
     for t in (0, 1):
         h = model.phi_forward(tape, tape.constant(batch.x))
         rows = np.flatnonzero(batch.t == t)
-        pred = autodiff.take_rows(tape, model.stack_forward(tape, f"head.{t}", h), rows)
+        pred = autodiff.take_rows(tape, head_forward(model, tape, f"head.{t}", h), rows)
         term = autodiff.mse_loss(tape, pred, tape.constant(batch.y[rows].reshape(-1, 1)))
         factual = term if factual is None else autodiff.add(tape, factual, term)
     h = model.phi_forward(tape, tape.constant(batch.x))

@@ -172,8 +172,9 @@ def test_nn_pehe_stacked_estimates_match_single_calls():
         single = nn_pehe(x, t, y, tau_hat)
         assert isinstance(single, float)
         assert np.array_equal(score, single, equal_nan=True)
-    with pytest.raises(DimensionError):
-        nn_pehe(x, t, y, taus[:, :-1])
+    for bad_x, bad_tau in ((x, taus[:, :-1]), (x[:, 0], taus[0]), (x[None], taus[0])):
+        with pytest.raises(DimensionError):
+            nn_pehe(bad_x, t, y, bad_tau)
 
 
 def test_nn_pehe_needs_both_arms():

@@ -27,9 +27,10 @@ def tiny_model(seed: int = 0, d: int = 3) -> AdbcrModel:
 
 def tie_heads(model: AdbcrModel, t: int) -> None:
     """Copy head (t,0) parameters onto head (t,1)."""
-    for name in model.params.subset(f"head.{t}.0."):
-        other = name.replace(f"head.{t}.0.", f"head.{t}.1.")
-        model.params[other][...] = model.params[name]
+    arrays = model.checkpoint_arrays()
+    for name, array in arrays.items():
+        if name.startswith(f"head.{t}.0."):
+            arrays[name.replace(f"head.{t}.0.", f"head.{t}.1.")][...] = array
 
 
 # ---------------------------------------------------------------------------
@@ -51,38 +52,42 @@ def test_same_seed_identical_parameters():
 
 def test_adjacent_heads_differ_at_init():
     model = tiny_model()
-    differs = False
-    for name in model.params.subset("head.0.0."):
-        other = name.replace("head.0.0.", "head.0.1.")
-        differs = differs or not np.array_equal(model.params[name], model.params[other])
-    assert differs
+    arrays = model.checkpoint_arrays()
+    assert any(not np.array_equal(array, arrays[name.replace("head.0.0.", "head.0.1.")])
+               for name, array in arrays.items() if name.startswith("head.0.0."))
 
 
 @pytest.mark.parametrize("network", [AdbcrModel, DanncrModel], ids=["adbcr", "danncr"])
 def test_head_parameters_are_views_of_the_stacks(network):
-    """The stacks hold the per-head arrays in ARMS order; an Adam step and a restore
-    through the per-head names change the stacks, and a pickled copy keeps the link."""
+    """checkpoint_arrays names the trunk, each head's layers in ARMS order and the extra
+    stacks; a head's arrays are views of its stack members, which an Adam step on the
+    stacks, a restore and a pickle round trip leave linked."""
     model = network(3, (6, 5), (4,), dropout_p=0.2, seed=1)
     heads = [prefix for arm in model.ARMS for prefix in arm]
-    assert model.params.names()[:4] == ["phi.0.w", "phi.0.b", "phi.1.w", "phi.1.b"]
-    for key in ("heads.0.w", "heads.0.b", "heads.1.w", "heads.1.b"):
-        stack, names = model.params.stack(key)
-        assert names == tuple(f"{prefix}.{key[6:]}" for prefix in heads)
-        for member, name in zip(stack, names):
-            assert np.shares_memory(member, model.params[name])
-    before = model.params.snapshot()
-    heads_opt = Adam(model.params.subset("head."), lr=0.1)
+    trunk = ["phi.0.w", "phi.0.b", "phi.1.w", "phi.1.b"]
+    stacks = ["heads.0.w", "heads.0.b", "heads.1.w", "heads.1.b"]
+    extra = list(model.params.subset(*(f"{prefix}." for prefix, _ in model.EXTRA_STACKS)))
+    assert model.params.names() == trunk + stacks + extra
+    arrays = model.checkpoint_arrays()
+    assert list(arrays) == trunk + [f"{prefix}.{key[6:]}" for prefix in heads
+                                    for key in stacks] + extra
+    for key in stacks:
+        assert model.params[key].shape[0] == len(heads)
+        for member, prefix in enumerate(heads):
+            view = arrays[f"{prefix}.{key[6:]}"]
+            assert np.shares_memory(view, model.params[key])
+            np.testing.assert_array_equal(view, model.params[key][member])
+    before = {name: a.copy() for name, a in arrays.items()}
+    heads_opt = Adam(model.params.subset("heads."), lr=0.1)
     heads_opt.step({name: np.ones_like(model.params[name]) for name in heads_opt.names()})
-    stack, names = model.params.stack("heads.1.w")
-    for member, name in zip(stack, names):
-        np.testing.assert_allclose(member, before[name] - 0.1, rtol=0.0, atol=1e-8)
-    model.params.restore(before)
-    for member, name in zip(stack, names):
-        np.testing.assert_array_equal(member, before[name])
+    last = f"{heads[-1]}.1.w"
+    np.testing.assert_allclose(arrays[last], before[last] - 0.1, rtol=0.0, atol=1e-8)
+    model.params.restore({name: model.params[name] + 1.0 for name in stacks})
+    np.testing.assert_allclose(arrays[last], before[last] + 0.9, rtol=0.0, atol=1e-8)
     copy = pickle.loads(pickle.dumps(model))
-    copy.params[names[-1]][...] = 7.0
-    assert (copy.params.stack("heads.1.w")[0][-1] == 7.0).all()
-    assert not (stack[-1] == 7.0).any()
+    copy.checkpoint_arrays()[last][...] = 7.0
+    assert (copy.params["heads.1.w"][-1] == 7.0).all()
+    assert not (model.params["heads.1.w"][-1] == 7.0).any()
 
 
 def test_invalid_construction():
@@ -244,7 +249,7 @@ def test_checkpoint_header_fields(tmp_path):
     assert header["data_seed"] == 3
     assert header["split_fractions"] == [0.63, 0.27, 0.10]
     assert header["fingerprint"] == canonical_fingerprint({"seed": 0, "mode": "adbcr"})
-    assert set(arrays) == set(model.params.names())
+    assert list(arrays) == list(model.checkpoint_arrays())
 
 
 def test_checkpoint_truncated_rejected(tmp_path):

@@ -14,7 +14,7 @@ from adbcr.objectives import (BatchView, build_losses, discriminative_distance,
                               factual_loss, validation_criterion)
 from adbcr.seeding import generator
 
-from conftest import forward_head, per_head_forward
+from conftest import by_checkpoint_name, forward_head, head_forward, per_head_forward
 
 HEAD_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -36,8 +36,9 @@ def constant_head_model(outputs: dict[tuple[int, int], float], d: int = 2) -> Ad
     model = AdbcrModel(d, (2,), (1,), dropout_p=0.0, seed=0)
     for name in model.params.names():
         model.params[name][...] = 0.0
+    arrays = model.checkpoint_arrays()
     for (t, r), value in outputs.items():
-        model.params[f"head.{t}.{r}.1.b"][...] = value
+        arrays[f"head.{t}.{r}.1.b"][...] = value
     return model
 
 
@@ -62,7 +63,7 @@ def test_factual_four_unit_errors():
     (DanncrModel, (("head.0",), ("head.1",))),
 ], ids=["adbcr", "danncr"])
 def test_factual_compositional_oracle(network, arms):
-    """Equals the per-head MSE terms of every arm, recomputed via stack_forward."""
+    """Equals the per-head MSE terms of every arm, each head run on its own."""
     model = network(3, (5, 4), (3,), dropout_p=0.0, seed=2)
     batch = random_batch(7, n=12)
     expect = 0.0
@@ -71,7 +72,7 @@ def test_factual_compositional_oracle(network, arms):
         for prefix in heads:
             tape = Tape()
             h = model.phi_forward(tape, tape.constant(batch.x[rows]))
-            pred = model.stack_forward(tape, prefix, h).data[:, 0]
+            pred = head_forward(model, tape, prefix, h).data[:, 0]
             expect += np.mean((pred - batch.y[rows]) ** 2)
     np.testing.assert_allclose(factual_loss(model, batch), expect, rtol=1e-12)
 
@@ -252,14 +253,15 @@ def test_validation_decreases_as_heads_agree():
     for name in model.params.names():
         model.params[name][...] = 0.0
     model.params["phi.0.w"][...] = np.eye(2)
+    heads = model.checkpoint_arrays()
     beta, gamma = 0.4, -0.9
     a0, a1 = 2.0, 0.5
     for r, a in ((0, a0), (1, a1)):
-        model.params[f"head.1.{r}.0.w"][...] = [[0.0], [a]]
-        model.params[f"head.1.{r}.1.w"][...] = [[1.0]]
-        model.params[f"head.1.{r}.1.b"][...] = beta
+        heads[f"head.1.{r}.0.w"][...] = [[0.0], [a]]
+        heads[f"head.1.{r}.1.w"][...] = [[1.0]]
+        heads[f"head.1.{r}.1.b"][...] = beta
     for r in (0, 1):
-        model.params[f"head.0.{r}.1.b"][...] = gamma
+        heads[f"head.0.{r}.1.b"][...] = gamma
     # control row carries the distinguishing feature; treated row zeroes it
     batch = BatchView(x=np.array([[1.0, 0.8], [1.0, 0.0]]),
                       t=np.array([0, 1]), y=np.array([gamma, beta]))
@@ -267,7 +269,7 @@ def test_validation_decreases_as_heads_agree():
     assert baseline_factual == 0.0
     previous = np.inf
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        model.params["head.1.1.0.w"][...] = [[0.0], [(1 - lam) * a1 + lam * a0]]
+        heads["head.1.1.0.w"][...] = [[0.0], [(1 - lam) * a1 + lam * a0]]
         assert factual_loss(model, batch) == baseline_factual
         value = validation_criterion(model, batch)
         assert value < previous
@@ -332,8 +334,11 @@ def test_stacked_step_objectives_and_gradients_equal_per_head(kind, step, metric
     """Step A (factual), B (factual - w * distance, heads) and C (distance, phi)
     objectives and gradients equal those of the per-head graph, bit for bit."""
     model, batch = stacked_case(kind)
-    names = list(model.params.subset(*{"A": ("phi.", "head."), "B": ("head.",),
-                                       "C": ("phi.",)}[step]))
+    prefixes = {"A": ("phi.", "heads."), "B": ("heads.",), "C": ("phi.",)}[step]
+    names = list(model.params.subset(*prefixes))
+    # The per-head graph's head parameters carry checkpoint names: "head.<t>.<r>.<layer>...".
+    ref_names = [name for name in model.checkpoint_arrays()
+                 if name.startswith(tuple(p.replace("heads.", "head.") for p in prefixes))]
 
     def objective(tape, factual, distance):
         if step == "B":
@@ -349,9 +354,11 @@ def test_stacked_step_objectives_and_gradients_equal_per_head(kind, step, metric
                                                     np.random.default_rng(6), metric))
     np.testing.assert_array_equal(root.data, ref_root.data)
     tape.backward(root, names)
-    ref_tape.backward(ref_root, names)
-    grads, ref_grads = grads_for(tape, names), grads_for(ref_tape, names)
-    for name in names:
+    ref_tape.backward(ref_root, ref_names)
+    grads = by_checkpoint_name(model, grads_for(tape, names))
+    ref_grads = grads_for(ref_tape, ref_names)
+    assert sorted(grads) == sorted(ref_names)
+    for name in ref_names:
         np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
 

@@ -12,8 +12,8 @@ from adbcr.errors import ConfigError, DatasetError, TrainingError
 from adbcr.model import AdbcrModel, Scalers, load_checkpoint
 from adbcr.objectives import BatchView, discriminative_distance, factual_loss
 from adbcr.seeding import generator
-from adbcr.trainer import (MODES, TrainConfig, labeled_view, make_batches, step_A,
-                           step_B, step_C, train)
+from adbcr.trainer import (MODES, TrainConfig, labeled_view, make_batches, phase_optimizer,
+                           step_A, step_B, step_C, train)
 
 from conftest import small_benchmark
 
@@ -163,12 +163,20 @@ def test_batches_cover_both_arms_and_partition_rows(n_t, n_c, batch_size, n_unla
 # ---------------------------------------------------------------------------
 # the three steps
 
+def test_phase_optimizer_rejects_a_prefix_matching_nothing():
+    """A stale prefix would give its phase an empty Adam and freeze what it should train."""
+    model, _ = fresh_setup(0)
+    with pytest.raises(ConfigError, match=r"\['head\.'\] match no adbcr parameter"):
+        phase_optimizer(model, TrainConfig(), "phi.", "head.")
+    assert phase_optimizer(model, TrainConfig(), "phi.", "heads.").names() == model.params.names()
+
+
 def test_step_a_descends():
     """Factual loss drops on re-evaluation for fresh models, 18 of 20 seeds."""
     wins = 0
     for seed in range(20):
         model, batch = fresh_setup(seed, dropout=0.0)
-        opt = Adam(model.params.subset("phi.", "head."), lr=1e-3)
+        opt = Adam(model.params.subset("phi.", "heads."), lr=1e-3)
         before = factual_loss(model, batch)
         step_A(model, batch, opt, generator(seed, "dropout"))
         wins += factual_loss(model, batch) < before
@@ -178,25 +186,26 @@ def test_step_a_descends():
 def test_step_a_zero_lr_no_move():
     model, batch = fresh_setup(0)
     snap = model.params.snapshot()
-    opt = Adam(model.params.subset("phi.", "head."), lr=0.0)
+    opt = Adam(model.params.subset("phi.", "heads."), lr=0.0)
     step_A(model, batch, opt, generator(0, "dropout"))
     for name, value in snap.items():
         np.testing.assert_array_equal(model.params[name], value)
 
 
 def test_step_a_reaches_all_heads():
+    """Every parameter moves, each head's own layers included."""
     model, batch = fresh_setup(1)
-    snap = model.params.snapshot()
-    opt = Adam(model.params.subset("phi.", "head."), lr=1e-3)
+    snap = {name: a.copy() for name, a in model.checkpoint_arrays().items()}
+    opt = Adam(model.params.subset("phi.", "heads."), lr=1e-3)
     step_A(model, batch, opt, generator(1, "dropout"))
-    for name in snap:
-        assert not np.array_equal(model.params[name], snap[name]), name
+    for name, array in model.checkpoint_arrays().items():
+        assert not np.array_equal(array, snap[name]), name
 
 
 def test_step_b_freezes_phi():
     model, batch = fresh_setup(2)
     phi_before = {k: v.copy() for k, v in model.params.subset("phi.").items()}
-    opt = Adam(model.params.subset("head."), lr=1e-3)
+    opt = Adam(model.params.subset("heads."), lr=1e-3)
     step_B(model, batch, opt, 1.0, generator(2, "dropout"))
     for name, value in phi_before.items():
         np.testing.assert_array_equal(model.params[name], value)
@@ -206,8 +215,8 @@ def test_step_b_weight_zero_equals_heads_only_step_a():
     """adversary_weight 0 reproduces a heads-restricted factual step bit-exactly."""
     m1, batch = fresh_setup(3, dropout=0.3)
     m2, _ = fresh_setup(3, dropout=0.3)
-    o1 = Adam(m1.params.subset("head."), lr=1e-3)
-    o2 = Adam(m2.params.subset("head."), lr=1e-3)
+    o1 = Adam(m1.params.subset("heads."), lr=1e-3)
+    o2 = Adam(m2.params.subset("heads."), lr=1e-3)
     step_B(m1, batch, o1, 0.0, generator(3, "dropout"))
     step_A(m2, batch, o2, generator(3, "dropout"))
     for name in m1.params.names():
@@ -216,7 +225,7 @@ def test_step_b_weight_zero_equals_heads_only_step_a():
 
 def test_step_c_freezes_heads_and_descends():
     model, batch = fresh_setup(4, dropout=0.0)
-    heads_before = {k: v.copy() for k, v in model.params.subset("head.").items()}
+    heads_before = {k: v.copy() for k, v in model.params.subset("heads.").items()}
     opt = Adam(model.params.subset("phi."), lr=1e-3)
     before = discriminative_distance(model, batch, "l1")
     step_C(model, batch, opt, 3, generator(4, "dropout"))
@@ -237,11 +246,11 @@ def test_step_b_raises_distance_after_factual_training():
     wins = 0
     for seed in range(20):
         model, batch = fresh_setup(seed + 100, dropout=0.0)
-        opt_a = Adam(model.params.subset("phi.", "head."), lr=1e-3)
+        opt_a = Adam(model.params.subset("phi.", "heads."), lr=1e-3)
         rng = generator(seed, "dropout")
         for _ in range(30):
             step_A(model, batch, opt_a, rng)
-        opt_b = Adam(model.params.subset("head."), lr=1e-3)
+        opt_b = Adam(model.params.subset("heads."), lr=1e-3)
         before = discriminative_distance(model, batch, "l1")
         step_B(model, batch, opt_b, 1.0, rng)
         wins += discriminative_distance(model, batch, "l1") > before
