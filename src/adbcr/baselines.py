@@ -30,15 +30,17 @@ from . import autodiff
 from .autodiff import Adam, Tape
 from .data import TRAIN, VAL, Dataset
 from .errors import ConfigError, DatasetError, DimensionError
-from .model import (CHECKPOINT_LOADERS, Network, check_arrays, header_field, valid_int,
-                    valid_real, write_checkpoint)
+from .model import (CHECKPOINT_LOADERS, Network, check_arrays, check_columns, header_field,
+                    valid_int, valid_real, write_checkpoint)
 from .objectives import BatchView, build_losses, factual_term
 from .seeding import generator
 from .trainer import (MODES, EpochRecord, TrainConfig, TrainResult, _finite_scalar, descend,
                       phase_optimizer, train)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
-LASSO_VARIANTS = ("single", "per_treatment")
+# Checkpoint array names of each variant's learners, in learner order.
+LASSO_ARRAYS = {"single": (("w", "b"),), "per_treatment": (("w0", "b0"), ("w1", "b1"))}
+LASSO_VARIANTS = tuple(LASSO_ARRAYS)
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
 
@@ -109,76 +111,68 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
 
 @dataclass
 class LassoModel:
-    """Fitted Lasso in either the single-learner or per-treatment variant.
+    """Fitted Lasso: the S-learner (variant single) or the T-learner (per_treatment).
 
-    single: one model on [x, t]; weights has d + 1 entries with the
-    treatment coefficient last, so the estimated effect is constant.
-    per_treatment: an independent model per arm.
+    learners holds (weights, intercept) pairs. single: one learner on
+    [x, t], its d + 1 weights with the treatment coefficient last, so the
+    estimated effect is that coefficient for every row; the y1 - y0 of
+    predict_potential_outcomes (which evaluate_model scores) equals it
+    only up to one rounding, a few 1e-16 apart between rows.
+    per_treatment: one learner per arm, arm 0 first.
     """
 
     variant: str
     alpha: float
     input_dim: int
-    weights: np.ndarray | None = None
-    intercept: float = 0.0
-    weights0: np.ndarray | None = None
-    intercept0: float = 0.0
-    weights1: np.ndarray | None = None
-    intercept1: float = 0.0
+    learners: list[tuple[np.ndarray, float]]
 
     kind = "lasso"
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected covariates with {self.input_dim} columns, got shape {x.shape}")
-        return x
-
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self._check(x)
+        x = check_columns(x, self.input_dim)
         if self.variant == "single":
-            y0 = x @ self.weights[:-1] + self.intercept
-            return y0, y0 + self.weights[-1]
-        return (x @ self.weights0 + self.intercept0,
-                x @ self.weights1 + self.intercept1)
+            (w, b), = self.learners
+            y0 = x @ w[:-1] + b
+            return y0, y0 + w[-1]
+        (w0, b0), (w1, b1) = self.learners
+        return x @ w0 + b0, x @ w1 + b1
 
     def save(self, path: str, *, config: dict | None = None,
              data_seed: int | None = None,
              split_fractions: tuple[float, float, float] | None = None) -> None:
         arch = {"variant": self.variant, "alpha": self.alpha, "input_dim": self.input_dim}
-        if self.variant == "single":
-            arrays = {"w": self.weights.reshape(-1, 1),
-                      "b": np.array([[self.intercept]])}
-        else:
-            arrays = {"w0": self.weights0.reshape(-1, 1),
-                      "b0": np.array([[self.intercept0]]),
-                      "w1": self.weights1.reshape(-1, 1),
-                      "b1": np.array([[self.intercept1]])}
+        arrays = {}
+        for (w_name, b_name), (w, b) in zip(LASSO_ARRAYS[self.variant], self.learners):
+            arrays[w_name] = w.reshape(-1, 1)
+            arrays[b_name] = np.array([[b]])
         write_checkpoint(path, self.kind, arch, arrays, config=config, data_seed=data_seed,
                          split_fractions=split_fractions)
 
 
 def _load_lasso(arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
-    model = LassoModel(header_field(header, "arch.variant", LASSO_VARIANTS.__contains__),
-                       float(header_field(header, "arch.alpha",
-                                          lambda v: valid_real(v) and v >= 0.0)),
-                       header_field(header, "arch.input_dim", lambda v: valid_int(v, 1)))
-    d = model.input_dim
-    if model.variant == "single":
-        check_arrays(arrays, {"w": (d + 1, 1), "b": (1, 1)})
-        model.weights = arrays["w"][:, 0]
-        model.intercept = float(arrays["b"][0, 0])
-    else:
-        check_arrays(arrays, {"w0": (d, 1), "b0": (1, 1), "w1": (d, 1), "b1": (1, 1)})
-        model.weights0 = arrays["w0"][:, 0]
-        model.intercept0 = float(arrays["b0"][0, 0])
-        model.weights1 = arrays["w1"][:, 0]
-        model.intercept1 = float(arrays["b1"][0, 0])
-    return model
+    variant = header_field(header, "arch.variant", LASSO_VARIANTS.__contains__)
+    alpha = float(header_field(header, "arch.alpha", lambda v: valid_real(v) and v >= 0.0))
+    input_dim = header_field(header, "arch.input_dim", lambda v: valid_int(v, 1))
+    names = LASSO_ARRAYS[variant]
+    rows = input_dim + (variant == "single")
+    check_arrays(arrays, {name: shape for w_name, b_name in names
+                          for name, shape in ((w_name, (rows, 1)), (b_name, (1, 1)))})
+    return LassoModel(variant, alpha, input_dim,
+                      [(arrays[w_name][:, 0], float(arrays[b_name][0, 0]))
+                       for w_name, b_name in names])
 
 
 CHECKPOINT_LOADERS["lasso"] = _load_lasso
+
+
+def _fit_learners(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
+                  alpha: float) -> list[tuple[np.ndarray, float]]:
+    """The variant's learners: one on [x, t] (single), or one per arm, arm 0 first."""
+    if variant == "single":
+        return [lasso_fit(np.column_stack([x, t]), y, alpha)]
+    if variant == "per_treatment":
+        return [lasso_fit(x[t == arm], y[t == arm], alpha) for arm in (0, 1)]
+    raise ConfigError(f"variant must be one of {LASSO_VARIANTS}, got {variant!r}")
 
 
 def _stratified_folds(t: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,15 +204,13 @@ def select_alpha(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
         if not hold.any() or hold.all():
             continue
         for gi, alpha in enumerate(grid):
-            pred = np.empty(hold.sum())
+            learners = _fit_learners(x[~hold], t[~hold], y[~hold], variant, alpha)
             if variant == "single":
-                design = np.column_stack([x[~hold], t[~hold]])
-                w, b = lasso_fit(design, y[~hold], alpha)
+                (w, b), = learners
                 pred = np.column_stack([x[hold], t[hold]]) @ w + b
             else:
-                for arm in (0, 1):
-                    train_rows = ~hold & (t == arm)
-                    w, b = lasso_fit(x[train_rows], y[train_rows], alpha)
+                pred = np.empty(hold.sum())
+                for arm, (w, b) in enumerate(learners):
                     arm_rows = t[hold] == arm
                     pred[arm_rows] = x[hold][arm_rows] @ w + b
             errors[gi] += float(np.mean((pred - y[hold]) ** 2))
@@ -230,26 +222,10 @@ def select_alpha(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
 
 
 def fit_lasso(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
-              grid=DEFAULT_ALPHA_GRID, seed: int = 0,
-              alpha: float | None = None) -> LassoModel:
-    """Fit either variant, cross-validating alpha unless one is given."""
-    if variant not in LASSO_VARIANTS:
-        raise ConfigError(f"variant must be one of {LASSO_VARIANTS}, got {variant!r}")
-    if alpha is None:
-        alpha = select_alpha(x, t, y, variant, grid, seed)
-    model = LassoModel(variant, float(alpha), x.shape[1])
-    if variant == "single":
-        design = np.column_stack([x, t])
-        model.weights, model.intercept = lasso_fit(design, y, alpha)
-    else:
-        for arm in (0, 1):
-            rows = t == arm
-            w, b = lasso_fit(x[rows], y[rows], alpha)
-            if arm == 0:
-                model.weights0, model.intercept0 = w, b
-            else:
-                model.weights1, model.intercept1 = w, b
-    return model
+              grid=DEFAULT_ALPHA_GRID, seed: int = 0) -> LassoModel:
+    """Fit either variant at the cross-validated alpha of grid; a one-entry grid fixes alpha."""
+    alpha = select_alpha(x, t, y, variant, grid, seed)
+    return LassoModel(variant, alpha, x.shape[1], _fit_learners(x, t, y, variant, alpha))
 
 
 def fit_lasso_on_dataset(dataset: Dataset, variant: str,

@@ -231,8 +231,8 @@ def split(dataset: Dataset, fractions: tuple[float, float, float] = (0.63, 0.27,
     """
     if len(fractions) != 3:
         raise ConfigError(f"fractions must have 3 entries, got {len(fractions)}")
-    if any(f < 0 for f in fractions):
-        raise ConfigError(f"fractions must be non-negative, got {fractions}")
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise ConfigError(f"fractions must be finite and non-negative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
     rng = generator(seed, "split")

@@ -112,6 +112,14 @@ def dense_forward(tape: Tape, layers: list[tuple[autodiff.Tensor, autodiff.Tenso
     return h
 
 
+def check_columns(x: np.ndarray, input_dim: int) -> np.ndarray:
+    """x as float64; DimensionError unless it is 2-d with input_dim columns."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise DimensionError(f"expected covariates with {input_dim} columns, got shape {x.shape}")
+    return x
+
+
 def _check_layer_sizes(name: str, sizes) -> tuple[int, ...]:
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -209,19 +217,12 @@ class Network:
 
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""
-        x = self._check_columns(x)
+        x = check_columns(x, self.input_dim)
         tape = Tape(recording=False)
         _, heads = self.forward_heads(tape, tape.constant(self.scalers.standardize_x(x)))
         y0, y1 = (self.scalers.destandardize_y(np.mean(heads.data[list(members), :, 0], axis=0))
                   for members in self.arm_members)
         return y0, y1
-
-    def _check_columns(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected covariates with {self.input_dim} columns, got shape {x.shape}")
-        return x
 
     def save(self, path: str, *, config: dict | None = None,
              validation_criterion: float | None = None,

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _key(name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
@@ -18,8 +20,11 @@ def _key(name: str) -> int:
 
 
 def seed_sequence(seed: int, *names: str) -> np.random.SeedSequence:
-    """SeedSequence for the stream addressed by (seed, *names)."""
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(_key(n) for n in names))
+    """SeedSequence for the stream addressed by (seed, *names); seed must be non-negative."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_key(n) for n in names))
 
 
 def generator(seed: int, *names: str) -> np.random.Generator:

@@ -16,7 +16,7 @@ import adbcr
 from adbcr import blas, cli, data
 from adbcr.autodiff import Tape
 from adbcr.baselines import LassoModel
-from adbcr.model import Network, dense_forward, read_checkpoint, write_checkpoint
+from adbcr.model import Network, check_columns, dense_forward, read_checkpoint, write_checkpoint
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -133,7 +133,7 @@ def per_head_forward(model: Network, tape: Tape, x: np.ndarray, training: bool =
     dense stack (head_forward), one after another in ARMS order, which
     fixes the order of the dropout draws.
     """
-    h = model.phi_forward(tape, tape.constant(model._check_columns(x)), training, rng)
+    h = model.phi_forward(tape, tape.constant(check_columns(x, model.input_dim)), training, rng)
     return h, [[head_forward(model, tape, prefix, h, training, rng) for prefix in arm]
                for arm in model.ARMS]
 
@@ -165,7 +165,7 @@ def forward_head(model: Network, x: np.ndarray, t: int, r: int, training: bool =
 def lasso_cate(model: LassoModel, x: np.ndarray) -> np.ndarray:
     """Estimated effect per row: constant for single, model difference otherwise."""
     if model.variant == "single":
-        x = model._check(x)
-        return np.full(x.shape[0], model.weights[-1])
+        x = check_columns(x, model.input_dim)
+        return np.full(x.shape[0], model.learners[0][0][-1])
     y0, y1 = model.predict_potential_outcomes(x)
     return y1 - y0

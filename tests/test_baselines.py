@@ -160,18 +160,17 @@ def test_single_variant_effect_is_constant():
     x = rng.normal(size=(80, 4))
     t = np.tile([0, 1], 40)
     y = x[:, 0] + 2.0 * t + rng.normal(size=80) * 0.1
-    model = fit_lasso(x, t, y, "single", alpha=0.01)
+    model = fit_lasso(x, t, y, "single", grid=(0.01,))
     tau = lasso_cate(model, x)
     assert np.all(tau == tau[0])
-    assert tau[0] == model.weights[-1]
+    assert tau[0] == model.learners[0][0][-1]
 
 
 def test_per_treatment_identical_models_zero_effect():
     x, y = regression_problem(seed=9, n=60)
     t = np.tile([0, 1], 30)
-    model = fit_lasso(x, t, y, "per_treatment", alpha=0.1)
-    model.weights1 = model.weights0.copy()
-    model.intercept1 = model.intercept0
+    model = fit_lasso(x, t, y, "per_treatment", grid=(0.1,))
+    model.learners[1] = model.learners[0]
     np.testing.assert_array_equal(lasso_cate(model, x), np.zeros(60))
 
 
@@ -185,6 +184,23 @@ def test_per_treatment_beats_single_on_heterogeneous_effects():
         per_t = fit_lasso_on_dataset(ds, "per_treatment", seed=seed)
         wins += pehe(tau, lasso_cate(per_t, ds.x)) < pehe(tau, lasso_cate(single, ds.x))
     assert wins >= 8
+
+
+@pytest.mark.parametrize("variant", ["single", "per_treatment"])
+def test_lasso_learners_are_lasso_fits(variant):
+    """A one-entry grid fits each learner with lasso_fit at that alpha, bit for bit."""
+    x, y = regression_problem(seed=14, n=70, d=3)
+    t = (np.random.default_rng(14).random(70) < 0.4).astype(np.int64)
+    model = fit_lasso(x, t, y, variant, grid=(0.05,))
+    if variant == "single":
+        expected = [lasso_fit(np.column_stack([x, t]), y, 0.05)]
+    else:
+        expected = [lasso_fit(x[t == arm], y[t == arm], 0.05) for arm in (0, 1)]
+    assert model.alpha == 0.05
+    assert len(model.learners) == len(expected)
+    for (w, b), (w_ref, b_ref) in zip(model.learners, expected):
+        np.testing.assert_array_equal(w, w_ref)
+        assert b == b_ref
 
 
 def test_fit_lasso_variant_validation():
@@ -246,7 +262,7 @@ def test_lasso_checkpoint_round_trip(tmp_path):
     x, y = regression_problem(seed=13, n=80, d=4)
     t = np.tile([0, 1], 40)
     for variant in ("single", "per_treatment"):
-        model = fit_lasso(x, t, y, variant, alpha=0.05)
+        model = fit_lasso(x, t, y, variant, grid=(0.05,))
         path = str(tmp_path / f"{variant}.ckpt")
         model.save(path, config={"mode": variant})
         loaded = load_model(path)

@@ -412,7 +412,10 @@ def test_version_flag(capsys):
 
 
 @pytest.mark.parametrize("flag, value, field", [("--lr", "nan", "learning_rate"),
-                                                ("--weight-decay", "-1", "weight_decay")])
+                                                ("--weight-decay", "-1", "weight_decay"),
+                                                ("--fractions", "nan,0.5,0.5", "fractions"),
+                                                ("--seed", "-1", "seed"),
+                                                ("--split-seed", "-1", "seed")])
 def test_train_bad_knob_is_usage_error(benchmark_csv, tmp_path, capsys, flag, value, field):
     out = tmp_path / "t"
     assert run(["train", "--data", benchmark_csv, "--out", out, *NET_FLAGS, flag, value]) == 2

@@ -156,6 +156,8 @@ def test_split_fraction_validation():
         split(ds, (0.8, 0.3, -0.1))
     with pytest.raises(ConfigError):
         split(ds, (0.5, 0.3, 0.1))
+    with pytest.raises(ConfigError, match="finite"):
+        split(ds, (float("nan"), 0.5, 0.5))
 
 
 def test_split_lone_treated_row_rejected():

@@ -303,7 +303,7 @@ def saved_kind(kind: str, path: str) -> str:
         return "disc.0.b"
     rng = np.random.default_rng(0)
     fit_lasso(rng.normal(size=(20, 3)), np.arange(20) % 2, rng.normal(size=20),
-              "per_treatment", alpha=0.1).save(path)
+              "per_treatment", grid=(0.1,)).save(path)
     return "w1"
 
 
