@@ -23,6 +23,7 @@ the discriminator's validation cross entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,29 +85,51 @@ def coordinate_descent(z: np.ndarray, y_centered: np.ndarray, alpha: float,
     return w, sweeps
 
 
-def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
-              max_sweeps: int = LASSO_MAX_SWEEPS,
-              tol: float = LASSO_TOL) -> tuple[np.ndarray, float]:
-    """Input-scale weights and intercept of the standardized-penalty Lasso."""
+class _Standardized(NamedTuple):
+    """A learner's rows on the solver's scale: z = (x - mean) / scale, y centered."""
+
+    mean: np.ndarray
+    sd: np.ndarray
+    scale: np.ndarray
+    z: np.ndarray
+    y_mean: float
+    y_centered: np.ndarray
+
+
+def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
+    """lasso_fit's first step: check the rows and put them on the solver's scale."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionError(f"lasso_fit got x {x.shape} and y {y.shape}")
     if x.shape[0] < 2:
         raise DatasetError(f"lasso_fit needs at least 2 rows, got {x.shape[0]}")
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     scale = np.where(sd == 0.0, 1.0, sd)
     z = (x - mean) / scale
     z[:, sd == 0.0] = 0.0
     y_mean = y.mean()
-    w_std, _ = coordinate_descent(z, y - y_mean, alpha, max_sweeps, tol)
-    w = w_std / scale
-    w[sd == 0.0] = 0.0
-    intercept = y_mean - float(w @ mean)
+    return _Standardized(mean, sd, scale, z, y_mean, y - y_mean)
+
+
+def _solve(rows: _Standardized, alpha: float, max_sweeps: int = LASSO_MAX_SWEEPS,
+           tol: float = LASSO_TOL) -> tuple[np.ndarray, float]:
+    """lasso_fit's second step: coordinate descent, weights mapped back to the input scale."""
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
+    w_std, _ = coordinate_descent(rows.z, rows.y_centered, alpha, max_sweeps, tol)
+    w = w_std / rows.scale
+    w[rows.sd == 0.0] = 0.0
+    intercept = rows.y_mean - float(w @ rows.mean)
     return w, intercept
+
+
+def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
+              max_sweeps: int = LASSO_MAX_SWEEPS,
+              tol: float = LASSO_TOL) -> tuple[np.ndarray, float]:
+    """Input-scale weights and intercept of the standardized-penalty Lasso."""
+    return _solve(_standardize(x, y), alpha, max_sweeps, tol)
 
 
 @dataclass
@@ -165,14 +188,20 @@ def _load_lasso(arrays: dict[str, np.ndarray], header: dict) -> LassoModel:
 CHECKPOINT_LOADERS["lasso"] = _load_lasso
 
 
+def _learner_rows(x: np.ndarray, t: np.ndarray, y: np.ndarray,
+                  variant: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each learner's (x, y) rows: [x, t] (single), or one arm's rows each, arm 0 first."""
+    if variant == "single":
+        return [(np.column_stack([x, t]), y)]
+    if variant == "per_treatment":
+        return [(x[t == arm], y[t == arm]) for arm in (0, 1)]
+    raise ConfigError(f"variant must be one of {LASSO_VARIANTS}, got {variant!r}")
+
+
 def _fit_learners(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
                   alpha: float) -> list[tuple[np.ndarray, float]]:
-    """The variant's learners: one on [x, t] (single), or one per arm, arm 0 first."""
-    if variant == "single":
-        return [lasso_fit(np.column_stack([x, t]), y, alpha)]
-    if variant == "per_treatment":
-        return [lasso_fit(x[t == arm], y[t == arm], alpha) for arm in (0, 1)]
-    raise ConfigError(f"variant must be one of {LASSO_VARIANTS}, got {variant!r}")
+    """The variant's learners, each a lasso_fit of its rows."""
+    return [lasso_fit(xs, ys, alpha) for xs, ys in _learner_rows(x, t, y, variant)]
 
 
 def _stratified_folds(t: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,7 +218,9 @@ def select_alpha(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
     """Treatment-stratified cross-validated factual-MSE minimizer over the grid.
 
     Ties take the last grid entry, so with the ascending default grid the
-    strongest of the tied shrinkage levels wins.
+    strongest of the tied shrinkage levels wins. Each fold standardizes its
+    learners' rows once and solves them at every grid alpha, so each fit
+    has the bits lasso_fit gives it.
     """
     if len(grid) == 0:
         raise ConfigError("alpha grid is empty")
@@ -203,16 +234,17 @@ def select_alpha(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
         hold = fold_of == fold
         if not hold.any() or hold.all():
             continue
+        learners = [_standardize(xs, ys)
+                    for xs, ys in _learner_rows(x[~hold], t[~hold], y[~hold], variant)]
+        if variant == "single":
+            held_out = [(np.column_stack([x[hold], t[hold]]), slice(None))]
+        else:
+            held_out = [(x[hold][t[hold] == arm], t[hold] == arm) for arm in (0, 1)]
         for gi, alpha in enumerate(grid):
-            learners = _fit_learners(x[~hold], t[~hold], y[~hold], variant, alpha)
-            if variant == "single":
-                (w, b), = learners
-                pred = np.column_stack([x[hold], t[hold]]) @ w + b
-            else:
-                pred = np.empty(hold.sum())
-                for arm, (w, b) in enumerate(learners):
-                    arm_rows = t[hold] == arm
-                    pred[arm_rows] = x[hold][arm_rows] @ w + b
+            pred = np.empty(hold.sum())
+            for rows, (xs, where) in zip(learners, held_out):
+                w, b = _solve(rows, alpha)
+                pred[where] = xs @ w + b
             errors[gi] += float(np.mean((pred - y[hold]) ** 2))
             counts[gi] += 1
     if counts[0] == 0:

@@ -35,6 +35,7 @@ from . import baselines, blas, data, evaluation, objectives, trainer
 from .errors import AdbcrError, ConfigError, SearchError, TrainingError
 from .evaluation import MetricsReport
 from .model import canonical_fingerprint, header_field, load_checkpoint, valid_int, valid_list, valid_real
+from .seeding import check_seed
 
 DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
 
@@ -473,7 +474,8 @@ def cmd_eval(args) -> int:
 # parser wiring
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="Master seed for this command")
+    p.add_argument("--seed", type=int, default=0,
+                   help="Master seed for this command, a non-negative integer")
     p.add_argument("--out", type=str, required=True, help="Output directory")
     p.add_argument("--config", type=str, default=None,
                    help="Flat key=value config file; flags override it")
@@ -563,6 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_seed(args.seed)   # before a command makes its --out directory
         return args.func(args)
     except (TrainingError, SearchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

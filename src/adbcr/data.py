@@ -37,8 +37,6 @@ NONLINEARITIES = ("linear", "quadratic", "exp")
 
 # Rows save_csv formats per write, so its temporaries stay small at any n.
 CSV_WRITE_ROWS = 64
-# Rows load_csv converts per np.array call, so few cell strings are alive at once.
-CSV_READ_ROWS = 256
 
 
 @dataclass
@@ -313,6 +311,18 @@ def _check_treatment(t: np.ndarray) -> None:
                          row=int(bad[0]) + 2, column="t")
 
 
+def _records(f):
+    """The lines of f, refusing an empty one with ValueError.
+
+    np.loadtxt skips empty lines, but csv reads each as a record of no
+    fields, which load_csv rejects.
+    """
+    for line in f:
+        if line in ("\r\n", "\n", "\r"):
+            raise ValueError("empty line")
+        yield line
+
+
 def load_csv(path: str) -> Dataset:
     """Parse the interchange CSV; errors carry the offending row and column.
 
@@ -321,11 +331,14 @@ def load_csv(path: str) -> Dataset:
     are rejected. A leading UTF-8 byte-order mark, as spreadsheet programs
     write one, is dropped.
 
-    Records are read CSV_READ_ROWS at a time, and each block becomes floats
-    in one np.array call (which applies float() to every cell), so only one
-    block's cell strings are alive at once; the blocks are joined once at
-    the end. A block that is ragged or holds a cell that is not a finite
-    number sends the load to _walk_cells, which names the first bad cell.
+    The records after the header are parsed by np.loadtxt, whose C
+    tokenizer converts each cell with the routine float() uses, so a cell
+    it accepts has float()'s bits. A load that loadtxt refuses (a cell it
+    cannot read, an empty line, a ragged record), or whose table is not
+    the header's width or holds a non-finite value, goes to _walk_cells.
+    That names the first bad cell, or, if no cell is bad, returns float()'s
+    table: so quoted cells, underscores and non-ASCII digits load as
+    float() reads them.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
@@ -349,23 +362,16 @@ def load_csv(path: str) -> Dataset:
         covariate_cols = [h for h in header if h not in _SPECIAL_COLUMNS]
         if not covariate_cols:
             raise ParseError("no covariate columns found")
-        blocks = []
-        for block in iter(lambda: list(itertools.islice(reader, CSV_READ_ROWS)), []):
-            try:
-                values = np.array(block, dtype=np.float64)
-            except ValueError:
-                values = None
-            if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
-                blocks = None
-                break
-            blocks.append(values)
-    if blocks is None:
+        first = next(f, None)
+        if first is None:
+            raise ParseError(f"{path!r} has a header but no rows")
+        try:
+            table = np.loadtxt(_records(itertools.chain([first], f)), delimiter=",",
+                               comments=None, quotechar=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
         table = _walk_cells(path, header)
-    elif not blocks:
-        raise ParseError(f"{path!r} has a header but no rows")
-    else:
-        table = np.concatenate(blocks)
-        del blocks
 
     def column(name: str) -> np.ndarray:
         return table[:, header.index(name)].copy()
@@ -388,29 +394,42 @@ def _walk_cells(path: str, header: list[str]) -> np.ndarray:
     load_csv's one error path. A ragged record comes first; then, column
     by column in the order t (then its 0/1 check), the covariates,
     y_factual, y_cfactual, mu0, mu1, the first cell float() rejects, else
-    the first non-finite one. Returns the table if no cell is bad.
+    the first non-finite one. Returns the table if no cell is bad. The file
+    is read twice, a record at a time, so only the table and one record's
+    cell strings are alive at once.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    ragged = next((i for i, record in enumerate(rows) if len(record) != len(header)), None)
-    if ragged is not None:
-        raise ParseError(f"expected {len(header)} fields, got {len(rows[ragged])}",
-                         row=ragged + 2)
-    table = np.empty((len(rows), len(header)))
+        n = 0
+        for n, record in enumerate(itertools.islice(csv.reader(f), 1, None), start=1):
+            if len(record) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(record)}", row=n + 1)
+    table = np.empty((n, len(header)))
+    rejected, non_finite = {}, {}   # column -> (row, cell) of its first such cell
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        for i, record in enumerate(itertools.islice(csv.reader(f), 1, None)):
+            try:
+                values = [float(cell) for cell in record]
+            except ValueError:
+                values = []
+                for j, cell in enumerate(record):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        rejected.setdefault(j, (i, cell))
+                        values.append(math.nan)
+            if not math.isfinite(sum(values)):   # a nan or inf, or a sum that overflows
+                for j, value in enumerate(values):
+                    if not math.isfinite(value):
+                        non_finite.setdefault(j, (i, record[j]))
+            table[i] = values
     covariates = [name for name in header if name not in _SPECIAL_COLUMNS]
     outcomes = [name for name in _SPECIAL_COLUMNS[1:] if name in header]
     for name in ["t", *covariates, *outcomes]:
         j = header.index(name)
-        for i, record in enumerate(rows):
-            try:
-                table[i, j] = float(record[j])
-            except ValueError:
-                raise ParseError(f"non-numeric value {record[j]!r}",
-                                 row=i + 2, column=name) from None
-        bad = np.flatnonzero(~np.isfinite(table[:, j]))
-        if bad.size:
-            i = int(bad[0])
-            raise ParseError(f"non-finite value {rows[i][j]!r}", row=i + 2, column=name)
+        for first, kind in ((rejected, "non-numeric"), (non_finite, "non-finite")):
+            if j in first:
+                i, cell = first[j]
+                raise ParseError(f"{kind} value {cell!r}", row=i + 2, column=name)
         if name == "t":
             _check_treatment(table[:, j])
     return table

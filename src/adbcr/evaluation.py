@@ -34,9 +34,11 @@ from .errors import ConfigError, DimensionError, DomainError, SearchError, Train
 from .seeding import generator
 from .trainer import TrainConfig, TrainResult, train
 
-# Byte budget of nn_pehe's largest temporary, the query-block x opposite-arm
-# x covariate difference tensor; memory stays flat in the number of rows.
+# Byte budget of nn_pehe's neighbour search: one query block's Gram distances
+# plus the arrays of its candidates; memory stays flat in the number of rows.
 NN_BLOCK_BYTES = 8 * 2 ** 20
+# The factor c of the Gram-distance error bound delta in _nearest.
+NN_GRAM_SLACK = 4
 
 
 def _aligned(tau_true, tau_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -62,20 +64,60 @@ def ate_error(tau_true, tau_hat) -> float:
 
 
 def _nearest(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Index of each query row's nearest pool row, the lowest on ties.
+    """Index of each query row's nearest pool row, the lowest on ties; rows must be finite.
 
-    Query rows go in blocks through one difference buffer of at most
-    NN_BLOCK_BYTES (or one query row, if a single row needs more).
+    A block of query rows gets Gram distances |q|^2 + |p|^2 - 2 q.p from
+    one matmul. A row's candidates are the pool rows whose Gram distance
+    is within 2 delta of the row's smallest (see below), and they include
+    every row nearest by sum((q - p)**2), the distance the search ranks by.
+    A row with one candidate takes it. For any other row the candidates'
+    distances are summed as sum((q - p)**2) over a contiguous last axis,
+    the bits a whole-pool search gives them, and the lowest-index minimum
+    wins. The Gram block takes at most half of NN_BLOCK_BYTES (or one query
+    row, if a single row needs more), and candidates are measured in chunks
+    of at most an eighth, so a pool whose rows all tie stays within budget.
     """
-    n = queries.shape[0]
-    block = min(n, max(1, NN_BLOCK_BYTES // max(1, pool.nbytes)))
-    buffer = np.empty((block, *pool.shape))
+    n, d = queries.shape
     nearest = np.empty(n, dtype=np.intp)
+    pool_norms = np.einsum("ij,ij->i", pool, pool)
+    block = min(n, max(1, NN_BLOCK_BYTES // 2 // max(1, pool.shape[0] * 8)))
+    buffer = np.empty((block, pool.shape[0]))
+    chunk = max(1, NN_BLOCK_BYTES // 8 // (8 * (d + 1)))
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
     for start in range(0, n, block):
-        diff = buffer[:min(block, n - start)]
-        np.subtract(queries[start:start + block, None, :], pool, out=diff)
-        diff *= diff
-        nearest[start:start + block] = np.argmin(diff.sum(axis=2), axis=1)
+        q = queries[start:start + block]
+        q_norms = np.einsum("ij,ij->i", q, q)
+        gram = np.matmul(q, pool.T, out=buffer[:q.shape[0]])
+        gram *= -2.0
+        gram += q_norms[:, None]
+        gram += pool_norms
+        # delta bounds |g - e|, g a Gram distance and e what sum((q - p)**2)
+        # rounds to. Let u = eps / 2 and S = |q|^2 + |p|^2. The two norms and
+        # the dot product are sums of d products, each off by at most
+        # gamma_d = d u / (1 - d u) of its sum of absolute terms, together
+        # 2 gamma_d S; g's two additions add at most 4 u S (1 + O(u)). e is
+        # off the true distance, at most 2 S, by gamma_(d+2) of it (a
+        # subtraction, a square, d non-negative terms summed). So |g - e| <=
+        # (2 d + 4) eps S (1 + O(u)), at most half of delta with c = 4, and
+        # each of the 4 d products adds at most tiny / 2 if it underflows.
+        # A row nearest by e then has g <= e + delta <= min g + 2 delta.
+        delta = NN_GRAM_SLACK * (d + 3) * (eps * (q_norms + pool_norms.max()) + tiny)
+        limit = gram.min(axis=1) + 2.0 * delta
+        nearest[start:start + q.shape[0]] = gram.argmin(axis=1)
+        tied = np.flatnonzero((gram <= limit[:, None]).sum(axis=1) > 1)
+        for i in tied:
+            candidates = np.flatnonzero(gram[i] <= limit[i])
+            best, best_distance = -1, np.inf
+            for lo in range(0, candidates.size, chunk):
+                rows = candidates[lo:lo + chunk]
+                diff = pool[rows]
+                np.subtract(q[i], diff, out=diff)
+                diff *= diff
+                distances = diff.sum(axis=1)
+                j = int(distances.argmin())
+                if best < 0 or distances[j] < best_distance:
+                    best, best_distance = int(rows[j]), distances[j]
+            nearest[start + i] = best
     return nearest
 
 
@@ -83,10 +125,11 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.
     """Effect error against nearest-neighbour-imputed counterfactual outcomes.
 
     Distances are Euclidean on covariates standardized over the given rows;
-    ties break toward the lowest row index. The distance blocks stay within
-    about NN_BLOCK_BYTES whatever the number of rows, but the standardized
-    copy of x, its per-arm copies and the x - mean temporary grow with n:
-    peaks of about 10, 13 and 19 MiB at 5k, 27k and 60k rows of 10 columns.
+    ties break toward the lowest row index. t must hold 0s and 1s, with
+    both arms present, and x and y must be finite. The neighbour search
+    (_nearest) stays within NN_BLOCK_BYTES whatever the number of rows, but
+    the standardized copy of x, its per-arm copies and the x - mean
+    temporary grow with n.
 
     tau_hat is one estimate, shape (n,), scored as a float; or k estimates
     stacked as (k, n), scored as an array of k floats against one
@@ -106,12 +149,18 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.
         raise DimensionError("nn_pehe inputs misaligned")
     arm1 = np.flatnonzero(t == 1)
     arm0 = np.flatnonzero(t == 0)
+    if arm1.size + arm0.size != n:
+        raise DomainError("nn_pehe needs treatments of 0 or 1")
     if arm1.size == 0 or arm0.size == 0:
         raise DomainError("nn_pehe needs both treatment arms")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("nn_pehe needs finite covariates and outcomes")
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd[sd == 0.0] = 1.0
     z = (x - mean) / sd
+    if not np.isfinite(z).all():
+        raise DomainError("nn_pehe's covariates overflow when standardized")
     imputed = np.empty(n)
     for rows, opposite in ((arm1, arm0), (arm0, arm1)):
         imputed[rows] = y[opposite[_nearest(z[rows], z[opposite])]]

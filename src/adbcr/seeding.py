@@ -19,12 +19,18 @@ def _key(name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def seed_sequence(seed: int, *names: str) -> np.random.SeedSequence:
-    """SeedSequence for the stream addressed by (seed, *names); seed must be non-negative."""
+def check_seed(seed: int) -> int:
+    """seed as an int; ConfigError if it is negative."""
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_key(n) for n in names))
+    return seed
+
+
+def seed_sequence(seed: int, *names: str) -> np.random.SeedSequence:
+    """SeedSequence for the stream addressed by (seed, *names); seed must be non-negative."""
+    return np.random.SeedSequence(entropy=check_seed(seed),
+                                  spawn_key=tuple(_key(n) for n in names))
 
 
 def generator(seed: int, *names: str) -> np.random.Generator:

@@ -7,7 +7,8 @@ from adbcr.autodiff import Adam, Tape
 from adbcr.baselines import (DEFAULT_ALPHA_GRID, DanncrModel, coordinate_descent,
                              danncr_step_confuse, danncr_step_discriminate,
                              danncr_step_predict, danncr_train, danncr_validation, fit_lasso,
-                             fit_lasso_on_dataset, lasso_fit, select_alpha, soft_threshold)
+                             _fit_learners, _stratified_folds, fit_lasso_on_dataset, lasso_fit,
+                             select_alpha, soft_threshold)
 from adbcr.errors import ConfigError, DatasetError
 from adbcr.evaluation import pehe
 from adbcr.model import Network, load_model
@@ -242,6 +243,31 @@ def test_select_alpha_pure_noise_prefers_largest():
         y = rng.normal(size=400)
         hits += select_alpha(x, t, y, "single", DEFAULT_ALPHA_GRID, seed=seed) == 100.0
     assert hits >= 7
+
+
+@pytest.mark.parametrize("variant", ["single", "per_treatment"])
+def test_select_alpha_matches_refitting_every_fold_and_alpha(variant):
+    """Standardizing a fold's rows once picks the alpha that a lasso_fit per fold
+    and alpha picks, on a grid fine enough that the pick is inside it."""
+    grid = tuple(np.geomspace(1e-3, 1.0, 12))
+    for seed in range(3):
+        x, y = regression_problem(seed=20 + seed, n=150, d=4)
+        t = (np.random.default_rng(seed).random(150) < 0.4).astype(np.int64)
+        y = y + 0.5 * t + np.random.default_rng(seed).normal(size=150)
+        fold_of = _stratified_folds(t, 5, generator(seed, "lasso-cv"))
+        errors = np.zeros(len(grid))
+        for gi, alpha in enumerate(grid):
+            for fold in range(5):
+                hold = fold_of == fold
+                learners = _fit_learners(x[~hold], t[~hold], y[~hold], variant, alpha)
+                if variant == "single":
+                    (w, b), = learners
+                    pred = np.column_stack([x[hold], t[hold]]) @ w + b
+                else:
+                    pred = np.choose(t[hold], [x[hold] @ w + b for w, b in learners])
+                errors[gi] += float(np.mean((pred - y[hold]) ** 2))
+        expected = grid[len(grid) - 1 - int(np.argmin(errors[::-1]))]
+        assert select_alpha(x, t, y, variant, grid, seed=seed) == expected
 
 
 def test_select_alpha_folds_keep_both_arms():

@@ -421,6 +421,20 @@ def test_train_bad_knob_is_usage_error(benchmark_csv, tmp_path, capsys, flag, va
     assert run(["train", "--data", benchmark_csv, "--out", out, *NET_FLAGS, flag, value]) == 2
     assert not (out / "model.ckpt").exists()
     assert field in capsys.readouterr().err
+    if field == "seed":   # refused before anything touches the file system
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "search", "eval"])
+def test_negative_seed_leaves_no_output(benchmark_csv, adbcr_checkpoint, tmp_path, capsys,
+                                        command):
+    inputs = {"generate": [], "train": ["--data", benchmark_csv],
+              "search": ["--data", benchmark_csv],
+              "eval": ["--data", benchmark_csv, "--checkpoint", adbcr_checkpoint]}[command]
+    out = tmp_path / "out"
+    assert run([command, *inputs, "--out", out, "--seed", "-2"]) == 2
+    assert "seed must be a non-negative integer, got -2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_mode_is_usage_error(benchmark_csv, tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic generator, splitting, outcome stripping, and CSV interchange."""
 import csv
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adbcr import data
 from adbcr.data import (CSV_WRITE_ROWS, TEST, TRAIN, VAL, Dataset, DgpConfig, generate,
                         load_csv, save_csv, split, strip_outcomes)
 from adbcr.errors import ConfigError, DatasetError, ParseError
@@ -348,7 +349,7 @@ def test_csv_empty_header_name_rejected(tmp_path, header, position):
 
 
 # ---------------------------------------------------------------------------
-# CSV blocks: load_csv converts CSV_READ_ROWS records at a time
+# CSV errors and the cell-by-cell fallback
 
 GOOD_ROWS = ["0,1.0,2.0", "1,1.5,-2.0", "0,0.5,3.5", "1,2.5,0.25", "1,-1.0,1.0"]
 
@@ -367,7 +368,7 @@ def write_rows(path, edits: dict[int, str]) -> str:
     ({5: "1,2.5,inf"}, "non-finite value 'inf' (row 5, column 'x0')"),
     ({6: "1,-1.0"}, "expected 3 fields, got 2 (row 6)"),
     ({5: "1,2.5,0.25,7"}, "expected 3 fields, got 4 (row 5)"),
-    ({4: "0,0.5", 5: "1,2.5"}, "expected 3 fields, got 2 (row 4)"),   # one block all short
+    ({4: "0,0.5", 5: "1,2.5"}, "expected 3 fields, got 2 (row 4)"),   # two records short
     ({5: "2,2.5,0.25"}, f"treatment must be 0 or 1, got {np.float64(2.0)!r} (row 5, column 't')"),
     ({3: "1,1.5,oops", 6: "2,-1.0,1.0"},
      f"treatment must be 0 or 1, got {np.float64(2.0)!r} (row 6, column 't')"),
@@ -376,15 +377,92 @@ def write_rows(path, edits: dict[int, str]) -> str:
 ], ids=["non-numeric", "non-finite", "short-record", "long-record", "short-block",
         "treatment-value", "treatment-after-covariate", "treatment-cell-after-covariate",
         "covariate-before-outcome"])
-def test_csv_errors_in_later_blocks_name_the_first_bad_cell(tmp_path, monkeypatch, edits,
-                                                            message):
-    """With two records per block, a bad record in a later block, or bad cells in
-    several, give the whole-file column order's error: t (and its 0/1 check),
-    then the covariates, then y_factual."""
-    monkeypatch.setattr(data, "CSV_READ_ROWS", 2)
+def test_csv_errors_in_later_blocks_name_the_first_bad_cell(tmp_path, edits, message):
+    """A bad record late in the file, or bad cells in several records, give
+    the whole-file column order's error: t (and its 0/1 check), then the
+    covariates, then y_factual."""
     with pytest.raises(ParseError) as err:
         load_csv(write_rows(tmp_path / "bad.csv", edits))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("lines, message", [
+    (["t,y_factual,x0", "0,1.0,2.0", "", "1,1.5,-2.0"], "expected 3 fields, got 0 (row 3)"),
+    (["t,y_factual,x0", "0,1.0,2.0", "1,1.5,-2.0", ""], "expected 3 fields, got 0 (row 4)"),
+    (["t,y_factual,x0", "0,1.0,2.0", " ", "1,1.5,-2.0"], "expected 3 fields, got 1 (row 3)"),
+], ids=["blank-mid-file", "blank-trailing", "space-only"])
+def test_csv_blank_line_is_an_empty_record(tmp_path, end, lines, message):
+    """A blank line is a record of no fields, not a line to skip."""
+    path = tmp_path / "blank.csv"
+    path.write_bytes(end.join([*lines, ""]).encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        load_csv(str(path))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["t,y_factual,x0\n", "t,y_factual,x0\r\n", "t,y_factual,x0"])
+def test_csv_header_only_raises_without_warning(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="has a header but no rows"):
+            load_csv(str(path))
+
+
+def test_csv_cells_loadtxt_refuses_load_as_float_reads_them(tmp_path):
+    """Quoted cells, underscores and non-ASCII digits: float() accepts them all."""
+    path = tmp_path / "cells.csv"
+    rows = [("0", '"1.5"', "2_0"), ('"1"', "1_0.2_5", "\u0663"), ("1", "-7", "\uff11.5")]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("t,y_factual,x0\r\n" + "".join(",".join(row) + "\r\n" for row in rows))
+    back = load_csv(str(path))
+    cells = [[cell.strip('"') for cell in row] for row in rows]
+    assert back.t.tolist() == [0, 1, 1]
+    assert back.y_factual.tobytes() == np.array([float(r[1]) for r in cells]).tobytes()
+    assert back.x.tobytes() == np.array([[float(r[2])] for r in cells]).tobytes()
+    assert back.x[:, 0].tolist() == [20.0, 3.0, 1.5]
+
+
+def test_csv_quoted_cell_load_stays_near_the_table_size(tmp_path):
+    """A quoted cell sends the load to the cell-by-cell walk, which streams the
+    records: its traced peak (about 2 tables) stays far below the 20k rows' cell
+    strings (about 25 MiB)."""
+    ds, _ = make(n=20_000, d=10, seed=4)
+    path = tmp_path / "quoted.csv"
+    save_csv(ds, str(path))
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[7].split(b",")
+    cells[6] = b'"' + cells[6] + b'"'
+    lines[7] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    tracemalloc.start()
+    try:
+        back = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.x.tobytes() == ds.x.tobytes()
+    table_bytes = ds.n * 15 * 8
+    assert peak < 4 * table_bytes, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_csv_large_file_bit_exact_against_float(tmp_path):
+    """n=10000 generated rows load as a per-cell float() parse of the written text."""
+    ds, _ = make(n=10_000, d=10, seed=3)
+    path = str(tmp_path / "big.csv")
+    save_csv(ds, path)
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *records = list(csv.reader(f))
+    table = np.array([[float(cell) for cell in record] for record in records])
+    back = load_csv(path)
+    assert back.n == 10_000
+    assert back.t.tobytes() == table[:, 0].astype(np.int64).tobytes()
+    for name, column in (("y_factual", 1), ("y_cf", 2), ("mu0", 3), ("mu1", 4)):
+        assert getattr(back, name).tobytes() == table[:, column].tobytes()
+    assert back.x.tobytes() == np.ascontiguousarray(table[:, 5:]).tobytes()
+    assert back.x.tobytes() == ds.x.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +509,8 @@ def datasets(draw) -> Dataset:
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(ds=datasets(), read_rows=st.integers(1, 7))
-def test_csv_round_trip_bit_exact_and_writer_bytes(tmp_path, monkeypatch, ds, read_rows):
-    monkeypatch.setattr(data, "CSV_READ_ROWS", read_rows)
+@given(ds=datasets())
+def test_csv_round_trip_bit_exact_and_writer_bytes(tmp_path, ds):
     path, reference = str(tmp_path / "d.csv"), str(tmp_path / "ref.csv")
     save_csv(ds, path)
     save_csv_reference(ds, reference)
@@ -494,10 +571,8 @@ def load_outcome_reference(table: list[list[str]]):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=st.lists(st.lists(st.sampled_from(SPELLINGS) | st.sampled_from(("0", "1")),
-                               min_size=4, max_size=4), min_size=1, max_size=4),
-       read_rows=st.integers(1, 5))
-def test_csv_cell_spellings_match_float(tmp_path, monkeypatch, table, read_rows):
-    monkeypatch.setattr(data, "CSV_READ_ROWS", read_rows)
+                               min_size=4, max_size=4), min_size=1, max_size=4))
+def test_csv_cell_spellings_match_float(tmp_path, table):
     path = tmp_path / "cells.csv"
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerows([CELL_COLUMNS, *table])

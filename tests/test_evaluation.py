@@ -5,9 +5,13 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adbcr import blas, data, evaluation
 from adbcr.errors import ConfigError, DatasetError, DimensionError, DomainError, SearchError
@@ -34,6 +38,18 @@ def search_base(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def nearest_oracle(query, pool) -> int:
+    """The first minimum, in row order, of the squared distances from query to pool's rows."""
+    return int(np.argmin(((pool - query) ** 2).sum(axis=1)))
+
+
+def standardized(x):
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    return (x - mean) / sd
+
+
 def nn_pehe_oracle(x, t, y, tau_hat) -> float:
     """Independent row-by-row implementation of the neighbour-imputed effect error.
 
@@ -41,14 +57,11 @@ def nn_pehe_oracle(x, t, y, tau_hat) -> float:
     opposite arm in row order, so ties go to the lowest row index.
     """
     n = x.shape[0]
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    z = (x - mean) / sd
+    z = standardized(x)
     total = 0.0
     for i in range(n):
         opposite = np.flatnonzero(t != t[i])
-        j = opposite[np.argmin(((z[opposite] - z[i]) ** 2).sum(axis=1))]
+        j = opposite[nearest_oracle(z[i], z[opposite])]
         tilde = y[i] - y[j] if t[i] == 1 else y[j] - y[i]
         total += (tilde - tau_hat[i]) ** 2
     return total / n
@@ -133,9 +146,9 @@ def test_nn_pehe_permutation_invariant():
                                rtol=1e-12)
 
 
-# nn_pehe's tracemalloc peak at n=4000, d=5 (about 10 MiB: one 8 MiB
-# difference buffer plus its row sums), where a single n1 x n0 x d
-# difference tensor would take 160 MB.
+# nn_pehe's tracemalloc peak at n=4000, d=5 (the search keeps within
+# NN_BLOCK_BYTES = 8 MiB), where a single n1 x n0 x d difference tensor
+# would take 160 MB.
 NN_PEHE_PEAK_CEILING = 16 * 2 ** 20
 
 
@@ -157,6 +170,78 @@ def test_nn_pehe_bounded_memory_with_ties():
         tracemalloc.stop()
     assert peak < NN_PEHE_PEAK_CEILING, f"peak {peak / 2 ** 20:.1f} MiB"
     np.testing.assert_allclose(value, nn_pehe_oracle(x, t, y, tau_hat), rtol=1e-12)
+
+
+def test_nn_pehe_bounded_memory_identical_pool():
+    """n=4000 where every control row is the same: each treated row's candidates
+    are the whole control arm, measured in chunks within the budget."""
+    rng = np.random.default_rng(8)
+    n = 4000
+    t = (rng.random(n) < 0.5).astype(np.int64)
+    x = rng.normal(size=(n, 5))
+    x[t == 0] = x[np.flatnonzero(t == 0)[0]]
+    y = rng.normal(size=n)
+    tau_hat = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        value = nn_pehe(x, t, y, tau_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < NN_PEHE_PEAK_CEILING, f"peak {peak / 2 ** 20:.1f} MiB"
+    np.testing.assert_allclose(value, nn_pehe_oracle(x, t, y, tau_hat), rtol=1e-12)
+
+
+SMALL_VALUES = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def neighbour_searches(draw):
+    """(queries, pool) in the Gram search's worst cases: exact duplicate rows, a
+    pool of one repeated row, rows a few ulps apart, a column with one outlier."""
+    case = draw(st.sampled_from(("duplicates", "identical pool", "ulps apart", "outlier")))
+    d = draw(st.integers(1, 12))
+    distinct = draw(arrays(np.float64, (draw(st.integers(1, 5)), d), elements=SMALL_VALUES))
+    picks = st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40)
+    queries, pool = distinct[draw(picks)], distinct[draw(picks)]
+    if case == "identical pool":
+        pool = np.repeat(pool[:1], len(pool), axis=0)
+    elif case == "ulps apart":
+        steps = draw(arrays(np.int64, pool.shape, elements=st.integers(-2, 2)))
+        for step in (1, 2):
+            pool = np.where(steps >= step, np.nextafter(pool, np.inf), pool)
+            pool = np.where(steps <= -step, np.nextafter(pool, -np.inf), pool)
+    elif case == "outlier":
+        x = np.vstack([queries, pool])
+        x[draw(st.integers(0, len(x) - 1)), draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from((1e6, -1e9, 1e12)))
+        z = standardized(x)
+        queries, pool = z[:len(queries)], z[len(queries):]
+    return np.ascontiguousarray(queries), np.ascontiguousarray(pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search=neighbour_searches(), budget=st.sampled_from((evaluation.NN_BLOCK_BYTES, 1024)))
+def test_nearest_matches_row_by_row_argmin(search, budget):
+    """At the default budget and at one that makes each query row its own block
+    and splits its candidates into chunks of 1 to 8 rows."""
+    queries, pool = search
+    expected = [nearest_oracle(q, pool) for q in queries]
+    with mock.patch.object(evaluation, "NN_BLOCK_BYTES", budget):
+        assert evaluation._nearest(queries, pool).tolist() == expected
+
+
+@pytest.mark.parametrize("edit", ["t=2", "t=-1", "t=0.5", "x=nan", "x=inf", "y=nan", "y=-inf"])
+def test_nn_pehe_rejects_bad_input(edit):
+    """A row in neither arm, or a non-finite covariate or outcome, is a DomainError."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(12, 3))
+    t = np.tile([0.0, 1.0], 6)
+    y = rng.normal(size=12)
+    name, value = edit.split("=")
+    {"t": t, "x": x[:, 1], "y": y}[name][4] = float(value)
+    with pytest.raises(DomainError):
+        nn_pehe(x, t, y, rng.normal(size=12))
 
 
 def test_nn_pehe_stacked_estimates_match_single_calls():

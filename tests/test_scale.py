@@ -17,8 +17,8 @@ N = 100_000
 # final predictions on all N rows dominate it: about 530 MB on forwards that free each
 # layer as they go, about 1150 MB where the forward records its tape.
 TRAIN_PEAK_CEILING_MB = 800
-# nn_pehe's neighbour search works in blocks of NN_BLOCK_BYTES, which with its
-# per-row arrays peaks near 15 MiB on the validation rows; unblocked it would need GBs.
+# nn_pehe's neighbour search keeps within NN_BLOCK_BYTES; with its per-row arrays
+# it peaks near 12 MiB on the validation rows; unblocked it would need GBs.
 NN_PEHE_CEILING_BYTES = 3 * NN_BLOCK_BYTES
 
 TRAIN_AND_REPORT_PEAK = """
