@@ -12,7 +12,7 @@ from .evaluation import (MetricsReport, SearchResult, SearchSpace, ate_error,
                          evaluate_model, nn_pehe, pehe, search, select_by_nn_pehe,
                          standard_reports)
 from .model import AdbcrModel, Scalers, load_model
-from .objectives import BatchView, discriminative_distance, factual_loss, validation_criterion
+from .objectives import BatchView
 from .trainer import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -21,9 +21,9 @@ __all__ = [
     "DgpConfig", "DimensionError", "DomainError", "LassoModel", "MetricsReport",
     "ParamSet", "ParseError", "Scalers", "SearchError", "SearchResult",
     "SearchSpace", "Tape", "Tensor", "TrainConfig", "TrainResult",
-    "TrainingError", "ate_error", "danncr_train", "discriminative_distance",
-    "evaluate_model", "factual_loss", "fit_lasso", "fit_lasso_on_dataset",
-    "generate", "load_csv", "load_model", "nn_pehe", "pehe", "save_csv",
-    "search", "select_by_nn_pehe", "split", "standard_reports",
-    "strip_outcomes", "train", "validation_criterion",
+    "TrainingError", "ate_error", "danncr_train", "evaluate_model",
+    "fit_lasso", "fit_lasso_on_dataset", "generate", "load_csv",
+    "load_model", "nn_pehe", "pehe", "save_csv", "search",
+    "select_by_nn_pehe", "split", "standard_reports", "strip_outcomes",
+    "train",
 ]

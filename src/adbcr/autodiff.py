@@ -405,27 +405,26 @@ def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays] or [np.zeros(0)])
 
 
+# Adam's moment decay rates and the floor added to the second moment's root.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; weight decay enters as an l2 term in the gradient.
 
-    beta1 = 0.9, beta2 = 0.999, eps = 1e-8. One instance owns the first and
-    second moments (and shared step count) for exactly the parameters it was
-    constructed with and updates those arrays in place. The moments live in
-    one flat buffer holding every parameter's entries in construction order,
-    so a step is a handful of whole-buffer operations.
+    The moments decay at ADAM_BETA1 and ADAM_BETA2. One instance owns the
+    first and second moments (and shared step count) for exactly the
+    parameters it was constructed with and updates those arrays in place.
+    The moments live in one flat buffer holding every parameter's entries in
+    construction order, so a step is a handful of whole-buffer operations.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
         if lr < 0:
             raise ConfigError(f"learning rate must be non-negative, got {lr}")
         self._params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         offsets = np.cumsum([0] + [p.size for p in self._params.values()])
         self._slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self._m = np.zeros(offsets[-1])
@@ -447,22 +446,22 @@ class Adam:
                     raise TrainingError(f"non-finite gradient for parameter {name!r}{member}")
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
         if self.weight_decay != 0.0:
             g += self.weight_decay * _flat(self._params.values())
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
         g *= g
-        g *= 1.0 - self.beta2
+        g *= 1.0 - ADAM_BETA2
         v += g
         update = m / c1
         update *= self.lr
         denom = v / c2
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         update /= denom
         for p, sl in zip(self._params.values(), self._slices):
             p -= update[sl].reshape(p.shape)

@@ -44,6 +44,7 @@ LASSO_ARRAYS = {"single": (("w", "b"),), "per_treatment": (("w0", "b0"), ("w1", 
 LASSO_VARIANTS = tuple(LASSO_ARRAYS)
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
+LASSO_CV_FOLDS = 5
 
 
 def soft_threshold(value: float, threshold: float) -> float:
@@ -55,12 +56,11 @@ def soft_threshold(value: float, threshold: float) -> float:
 
 
 def coordinate_descent(z: np.ndarray, y_centered: np.ndarray, alpha: float,
-                       max_sweeps: int = LASSO_MAX_SWEEPS,
-                       tol: float = LASSO_TOL) -> tuple[np.ndarray, int]:
+                       max_sweeps: int = LASSO_MAX_SWEEPS) -> tuple[np.ndarray, int]:
     """Cyclic soft-threshold sweeps from w = 0 on centered, scaled columns.
 
     Returns the weights and the number of sweeps run. Converged when the
-    largest coordinate change in a sweep drops below tol. Zero columns
+    largest coordinate change in a sweep drops below LASSO_TOL. Zero columns
     keep weight 0.
     """
     n, d = z.shape
@@ -80,7 +80,7 @@ def coordinate_descent(z: np.ndarray, y_centered: np.ndarray, alpha: float,
                 residual += z[:, j] * (old - new)
                 w[j] = new
                 max_change = max(max_change, abs(new - old))
-        if max_change < tol:
+        if max_change < LASSO_TOL:
             break
     return w, sweeps
 
@@ -113,12 +113,12 @@ def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
     return _Standardized(mean, sd, scale, z, y_mean, y - y_mean)
 
 
-def _solve(rows: _Standardized, alpha: float, max_sweeps: int = LASSO_MAX_SWEEPS,
-           tol: float = LASSO_TOL) -> tuple[np.ndarray, float]:
+def _solve(rows: _Standardized, alpha: float,
+           max_sweeps: int = LASSO_MAX_SWEEPS) -> tuple[np.ndarray, float]:
     """lasso_fit's second step: coordinate descent, weights mapped back to the input scale."""
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
-    w_std, _ = coordinate_descent(rows.z, rows.y_centered, alpha, max_sweeps, tol)
+    w_std, _ = coordinate_descent(rows.z, rows.y_centered, alpha, max_sweeps)
     w = w_std / rows.scale
     w[rows.sd == 0.0] = 0.0
     intercept = rows.y_mean - float(w @ rows.mean)
@@ -126,10 +126,9 @@ def _solve(rows: _Standardized, alpha: float, max_sweeps: int = LASSO_MAX_SWEEPS
 
 
 def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
-              max_sweeps: int = LASSO_MAX_SWEEPS,
-              tol: float = LASSO_TOL) -> tuple[np.ndarray, float]:
+              max_sweeps: int = LASSO_MAX_SWEEPS) -> tuple[np.ndarray, float]:
     """Input-scale weights and intercept of the standardized-penalty Lasso."""
-    return _solve(_standardize(x, y), alpha, max_sweeps, tol)
+    return _solve(_standardize(x, y), alpha, max_sweeps)
 
 
 @dataclass
@@ -214,23 +213,24 @@ def _stratified_folds(t: np.ndarray, folds: int, rng: np.random.Generator) -> np
 
 
 def select_alpha(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
-                 grid=DEFAULT_ALPHA_GRID, seed: int = 0, folds: int = 5) -> float:
+                 grid=DEFAULT_ALPHA_GRID, seed: int = 0) -> float:
     """Treatment-stratified cross-validated factual-MSE minimizer over the grid.
 
-    Ties take the last grid entry, so with the ascending default grid the
-    strongest of the tied shrinkage levels wins. Each fold standardizes its
-    learners' rows once and solves them at every grid alpha, so each fit
-    has the bits lasso_fit gives it.
+    Cross validation runs LASSO_CV_FOLDS folds. Ties take the last grid
+    entry, so with the ascending default grid the strongest of the tied
+    shrinkage levels wins. Each fold standardizes its learners' rows once
+    and solves them at every grid alpha, so each fit has the bits lasso_fit
+    gives it.
     """
     if len(grid) == 0:
         raise ConfigError("alpha grid is empty")
     if len(grid) == 1:
         return float(grid[0])
     rng = generator(seed, "lasso-cv")
-    fold_of = _stratified_folds(t, folds, rng)
+    fold_of = _stratified_folds(t, LASSO_CV_FOLDS, rng)
     errors = np.zeros(len(grid))
     counts = np.zeros(len(grid))
-    for fold in range(folds):
+    for fold in range(LASSO_CV_FOLDS):
         hold = fold_of == fold
         if not hold.any() or hold.all():
             continue

@@ -14,11 +14,13 @@ thread count.
 
 Exit codes: 0 all artifacts written, 1 runtime failure (divergence,
 search with no usable run or with a worker process that died, I/O),
-2 usage or configuration error.
+2 usage or configuration error. A failed command leaves no --out directory
+that it made and wrote nothing into.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
@@ -564,15 +566,20 @@ def main(argv: list[str] | None = None) -> int:
         blas.set_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
+    new_out = not os.path.exists(args.out)
     try:
         check_seed(args.seed)   # before a command makes its --out directory
-        return args.func(args)
+        code = args.func(args)
     except (TrainingError, SearchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        code = 1
     except AdbcrError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        code = 2
+    if code and new_out:
+        with contextlib.suppress(OSError):   # rmdir refuses a directory that holds output
+            os.rmdir(args.out)
+    return code
 
 
 if __name__ == "__main__":

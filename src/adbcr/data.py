@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -132,14 +132,6 @@ class DgpConfig:
             raise ConfigError(
                 f"nonlinearity must be one of {NONLINEARITIES}, got {self.nonlinearity!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "d": self.d, "bias_strength": self.bias_strength,
-            "effect_heterogeneity": self.effect_heterogeneity,
-            "noise_sd": self.noise_sd, "nonlinearity": self.nonlinearity,
-            "seed": self.seed, "base_effect": self.base_effect,
-        }
-
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
@@ -197,7 +189,7 @@ def generate(config: DgpConfig) -> tuple[Dataset, dict]:
         mu0=mu0, mu1=mu1, propensity=propensity,
     )
     truth = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "propensity_direction": w_p.tolist(),
         "outcome_direction": a.tolist(),
         "nonlinear_direction": b.tolist(),

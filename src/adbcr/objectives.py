@@ -1,12 +1,14 @@
-"""Factual loss, discriminative distance, and the validation criterion.
+"""The graphs of the factual loss and the discriminative distance.
 
-All three quantities share one graph builder that runs Network.forward_heads
+build_losses builds both terms on one tape: it runs Network.forward_heads
 once over the batch (labeled rows stacked with any unlabeled rows), then
 takes each term's rows of each head out of the one stacked head output.
 Phases that skip a term therefore consume exactly the same dropout
 randomness as phases that build it, which is what makes ablation modes
 reduce to each other bit-for-bit. The factual term serves every network
-kind; the distance needs two heads per arm.
+kind; the distance needs two heads per arm. Eval-mode values come from
+build_losses on a tape that records nothing, as the validation entries of
+adbcr.trainer and adbcr.baselines build them.
 """
 from __future__ import annotations
 
@@ -17,18 +19,13 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tape, Tensor
 from .errors import BatchCompositionError, ConfigError, DimensionError
-from .model import AdbcrModel, Network
+from .model import Network
 
 METRICS = ("l1", "squared")
 
 # Instrumentation: how many times a distance graph has been constructed.
 # Adversary-free modes must leave this untouched for a whole run.
 distance_graph_builds = 0
-
-
-def reset_distance_counter() -> None:
-    global distance_graph_builds
-    distance_graph_builds = 0
 
 
 @dataclass
@@ -119,37 +116,3 @@ def build_losses(model: Network, batch: BatchView, tape: Tape, *,
             distance = term if distance is None else autodiff.add(tape, distance, term)
 
     return factual, distance
-
-
-def factual_loss(model: Network, batch: BatchView, tape: Tape | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None):
-    """Sum over arms and heads of each head's MSE on its arm's rows.
-
-    Without a tape: a plain eval-mode float. With one: the loss tensor on
-    that tape, ready for backward.
-    """
-    loss, _ = build_losses(model, batch, Tape(recording=False) if tape is None else tape,
-                           training=training and tape is not None, rng=rng,
-                           need_distance=False)
-    return float(loss.data[0, 0]) if tape is None else loss
-
-
-def discriminative_distance(model: AdbcrModel, batch: BatchView, metric: str = "l1",
-                            tape: Tape | None = None, training: bool = False,
-                            rng: np.random.Generator | None = None):
-    """Sum over arms of the mean pointwise gap between adjacent heads.
-
-    Each arm's head pair is evaluated on the rows of the opposite arm plus
-    any unlabeled rows. Without a tape: an eval-mode float.
-    """
-    _, dist = build_losses(model, batch, Tape(recording=False) if tape is None else tape,
-                           training=training and tape is not None, rng=rng,
-                           need_factual=False, metric=metric)
-    return float(dist.data[0, 0]) if tape is None else dist
-
-
-def validation_criterion(model: AdbcrModel, batch: BatchView, metric: str = "l1",
-                         imbalance_weight: float = 1.0) -> float:
-    """Factual loss plus weighted distance, eval mode, in one deterministic pass."""
-    loss, dist = build_losses(model, batch, Tape(recording=False), metric=metric)
-    return float(loss.data[0, 0]) + imbalance_weight * float(dist.data[0, 0])

@@ -13,7 +13,7 @@ from adbcr.cli import retain_freed_heap
 from adbcr.evaluation import (SearchSpace, ate_error, nn_pehe, pehe, search,
                               select_by_nn_pehe, usable_cpus)
 from adbcr.model import AdbcrModel, Scalers, load_model
-from adbcr.objectives import BatchView, discriminative_distance, factual_loss
+from adbcr.objectives import BatchView, build_losses
 from adbcr.seeding import generator
 from adbcr.trainer import (TrainConfig, labeled_view, make_batches, step_B,
                            step_C, train)
@@ -124,17 +124,18 @@ def test_analytic_gradients_match_finite_differences():
     worst, checked = 0.0, 0
     for _ in range(25):
         model, batch = random_fidelity_case(rng)
-        builders = [(lambda: factual_loss(model, batch),
-                     lambda tape: factual_loss(model, batch, tape))]
-        for metric in ("l1", "squared"):
-            builders.append(
-                (lambda m=metric: discriminative_distance(model, batch, m),
-                 lambda tape, m=metric: discriminative_distance(model, batch, m, tape)))
-        for value_fn, graph_fn in builders:
+        # (term index in build_losses' pair, the build's keywords): factual, then each distance
+        terms = [(0, dict(need_distance=False))] + [
+            (1, dict(need_factual=False, metric=metric)) for metric in ("l1", "squared")]
+        for term, kwargs in terms:
             tape = Tape()
-            tape.backward(graph_fn(tape))
+            tape.backward(build_losses(model, batch, tape, **kwargs)[term])
             grads = {k: g.copy() for k, g in
                      grads_for(tape, model.params.names()).items()}
+
+            def value_fn():
+                return build_losses(model, batch, Tape(recording=False), **kwargs)[term].data[0, 0]
+
             for name in model.params.names():
                 numeric = finite_difference(value_fn, model.params[name])
                 worst = max(worst, float(rel_err(grads[name], numeric).max()))
@@ -201,9 +202,9 @@ def test_mode_reductions(bench_dataset):
     plain = train(bench_dataset, quick_config(mode="adbcr", seed=4))
     empty_pool = train(bench_dataset, quick_config(mode="uadbcr", seed=4))
     histories_equal = plain.history == empty_pool.history
-    objectives.reset_distance_counter()
+    before = objectives.distance_graph_builds
     train(bench_dataset, quick_config(mode="a_tarnet", seed=4))
-    builds = objectives.distance_graph_builds
+    builds = objectives.distance_graph_builds - before
     ok = histories_equal and builds == 0
     report("04 mode-reductions", ok,
            f"empty-pool history bit-equal {histories_equal}, a_tarnet distance builds {builds}")

@@ -437,6 +437,25 @@ def test_negative_seed_leaves_no_output(benchmark_csv, adbcr_checkpoint, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--k", "0"]),
+    ("train", ["--dropout", "1.5"]),
+    ("train", ["--shared-layers", "0"]),
+    ("train", ["--mode", "s-lasso", "--alpha", "-1"]),
+    ("search", ["--jobs", "0"]),
+], ids=["k", "dropout", "shared-layers", "lasso-alpha", "jobs"])
+def test_config_error_leaves_no_new_output(benchmark_csv, tmp_path, capsys, command, flags):
+    """A config error found after --out is made removes the still-empty --out it made,
+    and keeps an --out that existed before the command ran."""
+    out = tmp_path / "out"
+    assert run([command, "--data", benchmark_csv, "--out", out, *flags]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    assert run([command, "--data", benchmark_csv, "--out", out, *flags]) == 2
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_unknown_mode_is_usage_error(benchmark_csv, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         run(["train", "--data", benchmark_csv, "--out", tmp_path / "t",

@@ -1,4 +1,8 @@
-"""Loss terms: factual sum, discriminative distance, validation criterion."""
+"""Loss terms: factual sum, discriminative distance, validation criterion.
+
+Eval-mode values are read off build_losses on a tape that records nothing,
+and the criterion off trainer.evaluate_validation.
+"""
 import pickle
 
 import numpy as np
@@ -10,9 +14,9 @@ from adbcr.autodiff import Tape, grads_for
 from adbcr.baselines import DanncrModel
 from adbcr.errors import BatchCompositionError, ConfigError, DimensionError
 from adbcr.model import AdbcrModel
-from adbcr.objectives import (BatchView, build_losses, discriminative_distance,
-                              factual_loss, validation_criterion)
+from adbcr.objectives import METRICS, BatchView, build_losses
 from adbcr.seeding import generator
+from adbcr.trainer import TrainConfig, evaluate_validation
 
 from conftest import by_checkpoint_name, forward_head, head_forward, per_head_forward
 
@@ -48,14 +52,16 @@ def constant_head_model(outputs: dict[tuple[int, int], float], d: int = 2) -> Ad
 def test_factual_zero_for_exact_fit():
     model = constant_head_model({key: 0.0 for key in HEAD_KEYS})
     batch = BatchView(x=np.zeros((4, 2)), t=np.array([0, 1, 0, 1]), y=np.zeros(4))
-    assert factual_loss(model, batch) == 0.0
+    factual, _ = build_losses(model, batch, Tape(recording=False), need_distance=False)
+    assert factual.data[0, 0] == 0.0
 
 
 def test_factual_four_unit_errors():
     """All heads output 1 on y=0 rows, one per arm: 1+1+1+1 = 4."""
     model = constant_head_model({key: 1.0 for key in HEAD_KEYS})
     batch = BatchView(x=np.zeros((2, 2)), t=np.array([0, 1]), y=np.zeros(2))
-    assert factual_loss(model, batch) == 4.0
+    factual, _ = build_losses(model, batch, Tape(recording=False), need_distance=False)
+    assert factual.data[0, 0] == 4.0
 
 
 @pytest.mark.parametrize("network, arms", [
@@ -74,14 +80,15 @@ def test_factual_compositional_oracle(network, arms):
             h = model.phi_forward(tape, tape.constant(batch.x[rows]))
             pred = head_forward(model, tape, prefix, h).data[:, 0]
             expect += np.mean((pred - batch.y[rows]) ** 2)
-    np.testing.assert_allclose(factual_loss(model, batch), expect, rtol=1e-12)
+    factual, _ = build_losses(model, batch, Tape(recording=False), need_distance=False)
+    np.testing.assert_allclose(factual.data[0, 0], expect, rtol=1e-12)
 
 
 def test_factual_missing_arm_rejected():
     model = AdbcrModel(2, (2,), (1,), dropout_p=0.0, seed=0)
     batch = BatchView(x=np.zeros((3, 2)), t=np.ones(3, dtype=np.int64), y=np.zeros(3))
     with pytest.raises(BatchCompositionError):
-        factual_loss(model, batch)
+        build_losses(model, batch, Tape(recording=False), need_distance=False)
 
 
 def test_factual_row_permutation_invariant():
@@ -89,8 +96,9 @@ def test_factual_row_permutation_invariant():
     batch = random_batch(9, n=10)
     perm = np.random.default_rng(1).permutation(10)
     permuted = BatchView(x=batch.x[perm], t=batch.t[perm], y=batch.y[perm])
-    np.testing.assert_allclose(factual_loss(model, batch), factual_loss(model, permuted),
-                               rtol=1e-12)
+    factual, _ = build_losses(model, batch, Tape(recording=False), need_distance=False)
+    again, _ = build_losses(model, permuted, Tape(recording=False), need_distance=False)
+    np.testing.assert_allclose(factual.data[0, 0], again.data[0, 0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +107,20 @@ def test_factual_row_permutation_invariant():
 def test_distance_zero_for_tied_heads():
     model = constant_head_model({(0, 0): 0.7, (0, 1): 0.7, (1, 0): -0.2, (1, 1): -0.2})
     batch = random_batch(3, n=8, d=2)
-    assert discriminative_distance(model, batch, "l1") == 0.0
-    assert discriminative_distance(model, batch, "squared") == 0.0
+    for metric in METRICS:
+        _, dist = build_losses(model, batch, Tape(recording=False), need_factual=False,
+                               metric=metric)
+        assert dist.data[0, 0] == 0.0
 
 
 def test_distance_unit_gap_both_metrics():
     """t=1 pair outputs (1, 0) on one control row, t=0 pair tied: both metrics 1."""
     model = constant_head_model({(0, 0): 0.3, (0, 1): 0.3, (1, 0): 1.0, (1, 1): 0.0})
     batch = BatchView(x=np.zeros((2, 2)), t=np.array([0, 1]), y=np.zeros(2))
-    assert discriminative_distance(model, batch, "l1") == 1.0
-    assert discriminative_distance(model, batch, "squared") == 1.0
+    for metric in METRICS:
+        _, dist = build_losses(model, batch, Tape(recording=False), need_factual=False,
+                               metric=metric)
+        assert dist.data[0, 0] == 1.0
 
 
 def test_distance_compositional_oracle():
@@ -121,8 +133,8 @@ def test_distance_compositional_oracle():
         a = forward_head(model, batch.x[pool], t, 0)[:, 0]
         b = forward_head(model, batch.x[pool], t, 1)[:, 0]
         expect += np.mean(np.abs(a - b))
-    np.testing.assert_allclose(discriminative_distance(model, batch, "l1"), expect,
-                               rtol=1e-12)
+    _, dist = build_losses(model, batch, Tape(recording=False), need_factual=False)
+    np.testing.assert_allclose(dist.data[0, 0], expect, rtol=1e-12)
 
 
 def test_distance_pool_includes_unlabeled():
@@ -134,42 +146,47 @@ def test_distance_pool_includes_unlabeled():
         a = forward_head(model, pool_x, t, 0)[:, 0]
         b = forward_head(model, pool_x, t, 1)[:, 0]
         expect += np.mean(np.abs(a - b))
-    np.testing.assert_allclose(discriminative_distance(model, batch, "l1"), expect,
-                               rtol=1e-12)
+    _, dist = build_losses(model, batch, Tape(recording=False), need_factual=False)
+    np.testing.assert_allclose(dist.data[0, 0], expect, rtol=1e-12)
 
 
 def test_distance_empty_pool_rejected():
     model = AdbcrModel(2, (2,), (1,), dropout_p=0.0, seed=0)
     treated_only = BatchView(x=np.zeros((3, 2)), t=np.ones(3, dtype=np.int64), y=np.zeros(3))
     with pytest.raises(BatchCompositionError):
-        discriminative_distance(model, treated_only, "l1")
+        build_losses(model, treated_only, Tape(recording=False), need_factual=False)
     # unlabeled rows rescue the empty pool
     rescued = BatchView(x=np.zeros((3, 2)), t=np.ones(3, dtype=np.int64), y=np.zeros(3),
                         unlabeled_x=np.zeros((2, 2)))
-    assert discriminative_distance(model, rescued, "l1") >= 0.0
+    _, dist = build_losses(model, rescued, Tape(recording=False), need_factual=False)
+    assert dist.data[0, 0] >= 0.0
 
 
 def test_distance_nonnegative_property():
     for seed in range(8):
         model = AdbcrModel(3, (4,), (3,), dropout_p=0.0, seed=seed)
         batch = random_batch(seed + 100, n=9)
-        assert discriminative_distance(model, batch, "l1") >= 0.0
-        assert discriminative_distance(model, batch, "squared") >= 0.0
+        for metric in METRICS:
+            _, dist = build_losses(model, batch, Tape(recording=False), need_factual=False,
+                                   metric=metric)
+            assert dist.data[0, 0] >= 0.0
 
 
 def test_squared_equals_l1_on_unit_gaps():
     """With every pointwise gap exactly 0 or 1 the two metrics agree."""
     model = constant_head_model({(0, 0): 0.5, (0, 1): 0.5, (1, 0): 2.0, (1, 1): 1.0})
     batch = random_batch(15, n=8, d=2)
-    l1 = discriminative_distance(model, batch, "l1")
-    sq = discriminative_distance(model, batch, "squared")
-    assert l1 == sq == 1.0
+    _, l1 = build_losses(model, batch, Tape(recording=False), need_factual=False, metric="l1")
+    _, sq = build_losses(model, batch, Tape(recording=False), need_factual=False,
+                         metric="squared")
+    assert l1.data[0, 0] == sq.data[0, 0] == 1.0
 
 
 def test_metric_validated():
     model = AdbcrModel(2, (2,), (1,), dropout_p=0.0, seed=0)
     with pytest.raises(ConfigError):
-        discriminative_distance(model, random_batch(0, d=2), "l3")
+        build_losses(model, random_batch(0, d=2), Tape(recording=False), need_factual=False,
+                     metric="l3")
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +213,17 @@ def test_single_forward_keeps_dropout_stream_aligned():
 
 
 def test_distance_graph_counter():
+    """+0 for a build without the distance, +1 for each build with it, eval or not."""
     model = AdbcrModel(2, (2,), (1,), dropout_p=0.0, seed=0)
     batch = random_batch(19, d=2)
-    objectives.reset_distance_counter()
-    factual_loss(model, batch)
-    assert objectives.distance_graph_builds == 0
-    discriminative_distance(model, batch, "l1")
-    assert objectives.distance_graph_builds == 1
-    validation_criterion(model, batch)
-    assert objectives.distance_graph_builds == 2
-    objectives.reset_distance_counter()
-    assert objectives.distance_graph_builds == 0
+    before = objectives.distance_graph_builds
+    build_losses(model, batch, Tape(recording=False), need_distance=False)
+    evaluate_validation(model, batch, TrainConfig(mode="a_tarnet"))
+    assert objectives.distance_graph_builds == before
+    build_losses(model, batch, Tape(), need_factual=False)
+    assert objectives.distance_graph_builds == before + 1
+    evaluate_validation(model, batch, TrainConfig())
+    assert objectives.distance_graph_builds == before + 2
 
 
 def test_batchview_alignment_checks():
@@ -223,24 +240,28 @@ def test_batchview_alignment_checks():
 def test_validation_zero_for_perfect_tied_model():
     model = constant_head_model({key: 0.0 for key in HEAD_KEYS})
     batch = BatchView(x=np.zeros((4, 2)), t=np.array([0, 1, 0, 1]), y=np.zeros(4))
-    assert validation_criterion(model, batch) == 0.0
+    assert evaluate_validation(model, batch, TrainConfig()).criterion == 0.0
 
 
 def test_validation_is_sum_of_components():
+    """The criterion is the factual loss plus the weighted distance, each built alone."""
     model = AdbcrModel(3, (4,), (3,), dropout_p=0.0, seed=10)
     batch = random_batch(21, n=12)
-    expect = factual_loss(model, batch) + discriminative_distance(model, batch, "l1")
-    np.testing.assert_allclose(validation_criterion(model, batch), expect, rtol=1e-14)
-    weighted = factual_loss(model, batch) + 0.25 * discriminative_distance(model, batch, "l1")
-    np.testing.assert_allclose(validation_criterion(model, batch, imbalance_weight=0.25),
-                               weighted, rtol=1e-14)
+    factual, _ = build_losses(model, batch, Tape(recording=False), need_distance=False)
+    _, dist = build_losses(model, batch, Tape(recording=False), need_factual=False)
+    factual, dist = factual.data[0, 0], dist.data[0, 0]
+    np.testing.assert_allclose(evaluate_validation(model, batch, TrainConfig()).criterion,
+                               factual + dist, rtol=1e-14)
+    weighted = evaluate_validation(model, batch, TrainConfig(imbalance_weight=0.25))
+    np.testing.assert_allclose(weighted.criterion, factual + 0.25 * dist, rtol=1e-14)
 
 
 def test_validation_deterministic_despite_dropout_config():
     """Dropout plays no role: repeated eval of a dropout model is bit-stable."""
     model = AdbcrModel(3, (6,), (4,), dropout_p=0.5, seed=11)
     batch = random_batch(23, n=10)
-    assert validation_criterion(model, batch) == validation_criterion(model, batch)
+    assert evaluate_validation(model, batch, TrainConfig()) == \
+        evaluate_validation(model, batch, TrainConfig())
 
 
 def test_validation_decreases_as_heads_agree():
@@ -265,15 +286,14 @@ def test_validation_decreases_as_heads_agree():
     # control row carries the distinguishing feature; treated row zeroes it
     batch = BatchView(x=np.array([[1.0, 0.8], [1.0, 0.0]]),
                       t=np.array([0, 1]), y=np.array([gamma, beta]))
-    baseline_factual = factual_loss(model, batch)
-    assert baseline_factual == 0.0
+    assert evaluate_validation(model, batch, TrainConfig()).factual == 0.0
     previous = np.inf
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         heads["head.1.1.0.w"][...] = [[0.0], [(1 - lam) * a1 + lam * a0]]
-        assert factual_loss(model, batch) == baseline_factual
-        value = validation_criterion(model, batch)
-        assert value < previous
-        previous = value
+        record = evaluate_validation(model, batch, TrainConfig())
+        assert record.factual == 0.0
+        assert record.criterion < previous
+        previous = record.criterion
     assert previous == 0.0
 
 
@@ -381,15 +401,11 @@ EVAL_SITES = {
     "predict-adbcr": (model_module, AdbcrModel, lambda m, v: m.predict_potential_outcomes(v.x)),
     "predict-danncr": (model_module, DanncrModel,
                        lambda m, v: m.predict_potential_outcomes(v.x)),
-    "evaluate_validation-adbcr": (trainer, AdbcrModel, lambda m, v: trainer.evaluate_validation(
-        m, v, trainer.TrainConfig(metric="squared", imbalance_weight=0.5))),
-    "evaluate_validation-a_tarnet": (trainer, AdbcrModel, lambda m, v: trainer.evaluate_validation(
-        m, v, trainer.TrainConfig(mode="a_tarnet"))),
+    "evaluate_validation-adbcr": (trainer, AdbcrModel, lambda m, v: evaluate_validation(
+        m, v, TrainConfig(metric="squared", imbalance_weight=0.5))),
+    "evaluate_validation-a_tarnet": (trainer, AdbcrModel, lambda m, v: evaluate_validation(
+        m, v, TrainConfig(mode="a_tarnet"))),
     "danncr_validation": (baselines, DanncrModel, baselines.danncr_validation),
-    "validation_criterion": (objectives, AdbcrModel,
-                             lambda m, v: validation_criterion(m, v, "l1", 0.7)),
-    "factual_loss": (objectives, AdbcrModel, factual_loss),
-    "discriminative_distance": (objectives, AdbcrModel, discriminative_distance),
 }
 
 

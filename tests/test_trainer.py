@@ -10,10 +10,10 @@ from adbcr import data, objectives
 from adbcr.autodiff import Adam
 from adbcr.errors import ConfigError, DatasetError, TrainingError
 from adbcr.model import AdbcrModel, Scalers, load_checkpoint
-from adbcr.objectives import BatchView, discriminative_distance, factual_loss
+from adbcr.objectives import BatchView
 from adbcr.seeding import generator
-from adbcr.trainer import (MODES, TrainConfig, labeled_view, make_batches, phase_optimizer,
-                           step_A, step_B, step_C, train)
+from adbcr.trainer import (MODES, TrainConfig, evaluate_validation, labeled_view, make_batches,
+                           phase_optimizer, step_A, step_B, step_C, train)
 
 from conftest import small_benchmark
 
@@ -177,9 +177,9 @@ def test_step_a_descends():
     for seed in range(20):
         model, batch = fresh_setup(seed, dropout=0.0)
         opt = Adam(model.params.subset("phi.", "heads."), lr=1e-3)
-        before = factual_loss(model, batch)
+        before = evaluate_validation(model, batch, TrainConfig()).factual
         step_A(model, batch, opt, generator(seed, "dropout"))
-        wins += factual_loss(model, batch) < before
+        wins += evaluate_validation(model, batch, TrainConfig()).factual < before
     assert wins >= 18
 
 
@@ -227,7 +227,6 @@ def test_step_c_freezes_heads_and_descends():
     model, batch = fresh_setup(4, dropout=0.0)
     heads_before = {k: v.copy() for k, v in model.params.subset("heads.").items()}
     opt = Adam(model.params.subset("phi."), lr=1e-3)
-    before = discriminative_distance(model, batch, "l1")
     step_C(model, batch, opt, 3, generator(4, "dropout"))
     for name, value in heads_before.items():
         np.testing.assert_array_equal(model.params[name], value)
@@ -235,9 +234,9 @@ def test_step_c_freezes_heads_and_descends():
     for seed in range(20):
         m, b = fresh_setup(seed + 50, dropout=0.0)
         o = Adam(m.params.subset("phi."), lr=1e-3)
-        d0 = discriminative_distance(m, b, "l1")
+        d0 = evaluate_validation(m, b, TrainConfig()).distance
         step_C(m, b, o, 3, generator(seed, "dropout"))
-        wins += discriminative_distance(m, b, "l1") < d0
+        wins += evaluate_validation(m, b, TrainConfig()).distance < d0
     assert wins >= 18
 
 
@@ -251,9 +250,9 @@ def test_step_b_raises_distance_after_factual_training():
         for _ in range(30):
             step_A(model, batch, opt_a, rng)
         opt_b = Adam(model.params.subset("heads."), lr=1e-3)
-        before = discriminative_distance(model, batch, "l1")
+        before = evaluate_validation(model, batch, TrainConfig()).distance
         step_B(model, batch, opt_b, 1.0, rng)
-        wins += discriminative_distance(model, batch, "l1") > before
+        wins += evaluate_validation(model, batch, TrainConfig()).distance > before
     assert wins >= 18
 
 
@@ -286,8 +285,7 @@ def test_train_restored_model_reproduces_best(bench_dataset):
     result = train(bench_dataset, config)
     scalers = result.model.scalers
     val = labeled_view(bench_dataset, data.VAL, scalers)
-    recomputed = objectives.validation_criterion(result.model, val, config.metric,
-                                                 config.imbalance_weight)
+    recomputed = evaluate_validation(result.model, val, config).criterion
     assert abs(recomputed - result.best_value) < 1e-10
 
 
@@ -322,10 +320,10 @@ def test_train_uadbcr_uses_stripped_rows(bench_dataset):
 
 def test_train_a_tarnet_skips_distance(bench_dataset, tmp_path):
     """a_tarnet builds no distance graph and logs no distance column."""
-    objectives.reset_distance_counter()
+    before = objectives.distance_graph_builds
     result = train(bench_dataset, quick_config(mode="a_tarnet", max_epochs=5),
                    history_path=str(tmp_path / "h.tsv"))
-    assert objectives.distance_graph_builds == 0
+    assert objectives.distance_graph_builds == before
     assert all(rec.distance is None for rec in result.history)
     assert all(rec.criterion == rec.factual for rec in result.history)
     header = (tmp_path / "h.tsv").read_text().splitlines()[0]
