@@ -241,24 +241,16 @@ def elu(tape: Tape, x: Tensor) -> Tensor:
     return tape._record(Tensor(out, (x,), vjp))
 
 
-def dropout(tape: Tape, x: Tensor, p: float, training: bool, rng: np.random.Generator | None,
-            uniforms: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-
-    Eval mode and p == 0 are the exact identity and consume no randomness.
-    uniforms, if given, are U[0, 1) draws of x's shape made beforehand,
-    used instead of drawing from rng.
+def dropout(tape: Tape, x: Tensor, p: float, uniforms: np.ndarray) -> Tensor:
+    """Inverted dropout on U[0, 1) draws of x's shape: zero each entry whose draw
+    is below p, scale the survivors by 1/(1-p). p == 0 is the exact identity.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    if uniforms is None:
-        if rng is None:
-            raise ConfigError("dropout in training mode needs a generator")
-        uniforms = rng.random(x.shape)
-    elif uniforms.shape != x.shape:
+    if uniforms.shape != x.shape:
         raise DimensionError(f"dropout draws of shape {uniforms.shape} for a tensor of {x.shape}")
+    if p == 0.0:
+        return x
     keep = (uniforms >= p) / (1.0 - p)
     out = x.data * keep
 

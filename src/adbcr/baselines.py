@@ -55,20 +55,20 @@ def soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def coordinate_descent(z: np.ndarray, y_centered: np.ndarray, alpha: float,
-                       max_sweeps: int = LASSO_MAX_SWEEPS) -> tuple[np.ndarray, int]:
+def coordinate_descent(z: np.ndarray, y_centered: np.ndarray,
+                       alpha: float) -> tuple[np.ndarray, int]:
     """Cyclic soft-threshold sweeps from w = 0 on centered, scaled columns.
 
     Returns the weights and the number of sweeps run. Converged when the
-    largest coordinate change in a sweep drops below LASSO_TOL. Zero columns
-    keep weight 0.
+    largest coordinate change in a sweep drops below LASSO_TOL, or after
+    LASSO_MAX_SWEEPS sweeps. Zero columns keep weight 0.
     """
     n, d = z.shape
     norms = (z * z).sum(axis=0) / n
     w = np.zeros(d)
     residual = y_centered.copy()
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, LASSO_MAX_SWEEPS + 1):
         max_change = 0.0
         for j in range(d):
             if norms[j] == 0.0:
@@ -113,22 +113,20 @@ def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
     return _Standardized(mean, sd, scale, z, y_mean, y - y_mean)
 
 
-def _solve(rows: _Standardized, alpha: float,
-           max_sweeps: int = LASSO_MAX_SWEEPS) -> tuple[np.ndarray, float]:
+def _solve(rows: _Standardized, alpha: float) -> tuple[np.ndarray, float]:
     """lasso_fit's second step: coordinate descent, weights mapped back to the input scale."""
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
-    w_std, _ = coordinate_descent(rows.z, rows.y_centered, alpha, max_sweeps)
+    w_std, _ = coordinate_descent(rows.z, rows.y_centered, alpha)
     w = w_std / rows.scale
     w[rows.sd == 0.0] = 0.0
     intercept = rows.y_mean - float(w @ rows.mean)
     return w, intercept
 
 
-def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float,
-              max_sweeps: int = LASSO_MAX_SWEEPS) -> tuple[np.ndarray, float]:
+def lasso_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Input-scale weights and intercept of the standardized-penalty Lasso."""
-    return _solve(_standardize(x, y), alpha, max_sweeps)
+    return _solve(_standardize(x, y), alpha)
 
 
 @dataclass
@@ -278,15 +276,15 @@ class DanncrModel(Network):
 
 def _danncr_ce_graph(model: DanncrModel, batch: BatchView, tape: Tape, rng) -> autodiff.Tensor:
     """Training-mode discriminator cross entropy of the batch's treatments."""
-    h = model.phi_forward(tape, tape.constant(batch.x), True, rng)
-    logits = model.stack_forward(tape, "disc", h, True, rng)
+    h = model.phi_forward(tape, tape.constant(batch.x), rng)
+    logits = model.stack_forward(tape, "disc", h, rng)
     return autodiff.softmax_cross_entropy(tape, logits, batch.t)
 
 
 def danncr_step_predict(model: DanncrModel, batch: BatchView, opt: Adam, rng) -> float:
     """Representation and outcome heads follow the factual MSE."""
     tape = Tape()
-    loss, _ = build_losses(model, batch, tape, training=True, rng=rng, need_distance=False)
+    loss, _ = build_losses(model, batch, tape, rng=rng, need_distance=False)
     return descend(opt, tape, loss, "factual loss in the danncr prediction step")
 
 

@@ -83,7 +83,7 @@ def parse_lr_range(text: str) -> tuple[float, float]:
 
 
 def parse_architectures(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """'50x50:50x50,20x20:10' -> [((50,50),(50,50)), ((20,20),(10,))]."""
+    """'50x50:50x50,20x20:10' -> [((50,50),(50,50)), ((20,20),(10,))]; no width may be empty."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -92,11 +92,10 @@ def parse_architectures(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...
         shared_text, sep, head_text = chunk.partition(":")
         if not sep:
             raise ValueError(f"architecture {chunk!r} needs shared:head")
-        shared = tuple(int(p) for p in shared_text.split("x") if p.strip())
-        head = tuple(int(p) for p in head_text.split("x") if p.strip())
-        if not shared or not head:
-            raise ValueError(f"architecture {chunk!r} has an empty side")
-        out.append((shared, head))
+        sides = [side.split("x") for side in (shared_text, head_text)]
+        if any(not width.strip() for side in sides for width in side):
+            raise ValueError(f"architecture {chunk!r} has an empty width")
+        out.append(tuple(tuple(int(width) for width in side) for side in sides))
     if not out:
         raise ValueError("empty architecture list")
     return out
@@ -131,15 +130,21 @@ def add_options(p: argparse.ArgumentParser, table: dict[str, Option], skip=()) -
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            values[key.strip()] = value.strip()
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key} "
+                                  f"(first on line {first_line[key]})")
+            first_line[key] = lineno
+            values[key] = value.strip()
     return values
 
 

@@ -85,30 +85,30 @@ def init_dense(params: ParamSet, prefix: str, sizes: list[int], rng: np.random.G
 
 
 def dense_forward(tape: Tape, layers: list[tuple[autodiff.Tensor, autodiff.Tensor]],
-                  h: autodiff.Tensor, dropout_p: float, training: bool,
-                  rng: np.random.Generator | None, final_plain: bool) -> autodiff.Tensor:
+                  h: autodiff.Tensor, dropout_p: float, rng: np.random.Generator | None,
+                  final_plain: bool) -> autodiff.Tensor:
     """Forward a dense stack of (weight, bias) nodes; each layer is linear, ELU, dropout.
 
     With final_plain the last layer stays purely linear (scalar outputs).
-    Stacked (3-d) weights run R dense stacks at once. Their dropout draws
-    are made up front in one call, stack by stack and layer by layer: the
-    order in which R dense stacks run one after another draw them.
+    Stacked (3-d) weights run R dense stacks at once. Dropout applies only
+    when rng is given and dropout_p != 0. Its draws for every hidden layer
+    come from one rng.random call, member by member and layer by layer: the
+    order in which R matrix stacks run one after another would draw them.
     """
     n_hidden = len(layers) - final_plain
-    draws = [None] * n_hidden
-    if layers[0][0].data.ndim == 3 and training and dropout_p > 0.0 and rng is not None:
-        members, rows = layers[0][0].shape[0], h.shape[-2]
+    draws = None
+    if rng is not None and dropout_p != 0.0:
+        stack, rows = layers[0][0].shape[:-2], h.shape[-2]   # stack is () or (R,)
         widths = [w.shape[-1] for w, _ in layers[:n_hidden]]
-        block = rng.random((members, rows * sum(widths)))
-        draws, start = [], 0
-        for width in widths:
-            draws.append(block[:, start:start + rows * width].reshape(members, rows, width))
-            start += rows * width
+        block = rng.random((math.prod(stack), rows * sum(widths)))
+        draws = [part.reshape(*stack, rows, width) for part, width in
+                 zip(np.split(block, np.cumsum(widths[:-1]) * rows, axis=1), widths)]
     for i, (w, b) in enumerate(layers):
         h = autodiff.add(tape, autodiff.matmul(tape, h, w), b)
         if i < n_hidden:
             h = autodiff.elu(tape, h)
-            h = autodiff.dropout(tape, h, dropout_p, training, rng, draws[i])
+            if draws is not None:
+                h = autodiff.dropout(tape, h, dropout_p, draws[i])
     return h
 
 
@@ -192,19 +192,19 @@ class Network:
                  tape.param(f"{prefix}.{i}.b", self.params[f"{prefix}.{i}.b"]))
                 for i in range(n_layers)]
 
-    def phi_forward(self, tape: Tape, x: autodiff.Tensor, training: bool = False,
+    def phi_forward(self, tape: Tape, x: autodiff.Tensor,
                     rng: np.random.Generator | None = None) -> autodiff.Tensor:
+        """The shared representation of x; with a generator, a training forward (dropout)."""
         return dense_forward(tape, self._layers(tape, "phi", len(self.shared_layers)), x,
-                             self.dropout_p, training, rng, final_plain=False)
+                             self.dropout_p, rng, final_plain=False)
 
     def stack_forward(self, tape: Tape, prefix: str, h: autodiff.Tensor,
-                      training: bool = False,
                       rng: np.random.Generator | None = None) -> autodiff.Tensor:
         """One dense stack on h, by its prefix: an extra stack, or "heads" for every head."""
         return dense_forward(tape, self._layers(tape, prefix, len(self.head_layers) + 1), h,
-                             self.dropout_p, training, rng, final_plain=True)
+                             self.dropout_p, rng, final_plain=True)
 
-    def forward_heads(self, tape: Tape, x: autodiff.Tensor, training: bool = False,
+    def forward_heads(self, tape: Tape, x: autodiff.Tensor,
                       rng: np.random.Generator | None = None):
         """(h, heads): the representation h of x, and every head's output on h.
 
@@ -212,8 +212,8 @@ class Network:
         members arm_members[t]. All heads run as one stacked dense stack,
         drawing dropout as the heads one after another would.
         """
-        h = self.phi_forward(tape, x, training, rng)
-        return h, self.stack_forward(tape, "heads", h, training, rng)
+        h = self.phi_forward(tape, x, rng)
+        return h, self.stack_forward(tape, "heads", h, rng)
 
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""

@@ -7,8 +7,8 @@ Phases that skip a term therefore consume exactly the same dropout
 randomness as phases that build it, which is what makes ablation modes
 reduce to each other bit-for-bit. The factual term serves every network
 kind; the distance needs two heads per arm. Eval-mode values come from
-build_losses on a tape that records nothing, as the validation entries of
-adbcr.trainer and adbcr.baselines build them.
+build_losses without a generator, on a tape that records nothing, as the
+validation entries of adbcr.trainer and adbcr.baselines build them.
 """
 from __future__ import annotations
 
@@ -81,20 +81,21 @@ def factual_term(tape: Tape, model: Network, heads: Tensor, batch: BatchView) ->
 
 
 def build_losses(model: Network, batch: BatchView, tape: Tape, *,
-                 training: bool = False, rng: np.random.Generator | None = None,
+                 rng: np.random.Generator | None = None,
                  need_factual: bool = True, need_distance: bool = True,
                  metric: str = "l1") -> tuple[Tensor | None, Tensor | None]:
     """Build the factual loss and/or the discriminative distance on one tape.
 
-    Returns (factual, distance); entries not asked for are None. The shared
-    representation and every head forward exactly once regardless of
-    which terms are requested, so the dropout stream advances identically.
+    Returns (factual, distance); entries not asked for are None. Given rng,
+    the forward draws its dropout from it. The shared representation and
+    every head forward exactly once regardless of which terms are requested,
+    so the dropout stream advances identically.
     """
     _check_metric(metric)
     n = batch.x.shape[0]
     m = batch.n_unlabeled
     stacked = np.vstack([batch.x, batch.unlabeled_x]) if m > 0 else batch.x
-    _, heads = model.forward_heads(tape, tape.constant(stacked), training, rng)
+    _, heads = model.forward_heads(tape, tape.constant(stacked), rng)
     factual = factual_term(tape, model, heads, batch) if need_factual else None
 
     distance = None

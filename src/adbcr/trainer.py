@@ -184,8 +184,7 @@ def step_A(model: AdbcrModel, batch: BatchView, opt: Adam,
            rng: np.random.Generator) -> float:
     """One Adam step of every parameter on the factual loss."""
     tape = Tape()
-    loss, _ = build_losses(model, batch, tape, training=True, rng=rng,
-                           need_distance=False)
+    loss, _ = build_losses(model, batch, tape, rng=rng, need_distance=False)
     return descend(opt, tape, loss, "factual loss in step_A")
 
 
@@ -199,11 +198,9 @@ def step_B(model: AdbcrModel, batch: BatchView, opt: Adam, adversary_weight: flo
     """
     tape = Tape()
     if adversary_weight == 0.0:
-        objective, _ = build_losses(model, batch, tape, training=True, rng=rng,
-                                    need_distance=False)
+        objective, _ = build_losses(model, batch, tape, rng=rng, need_distance=False)
     else:
-        loss, dist = build_losses(model, batch, tape, training=True, rng=rng,
-                                  metric=metric)
+        loss, dist = build_losses(model, batch, tape, rng=rng, metric=metric)
         _finite_scalar(dist, "distance in step_B")
         objective = autodiff.sub(tape, loss, autodiff.scale(tape, dist, adversary_weight))
     return descend(opt, tape, objective, "objective in step_B")
@@ -219,7 +216,7 @@ def step_C(model: AdbcrModel, batch: BatchView, opt: Adam, k: int,
     value = math.nan
     for _ in range(k):
         tape = Tape()
-        _, dist = build_losses(model, batch, tape, training=True, rng=rng,
+        _, dist = build_losses(model, batch, tape, rng=rng,
                                need_factual=False, metric=metric)
         value = descend(opt, tape, dist, "distance in step_C")
     return value

@@ -112,7 +112,7 @@ def rewrite_with(path: str, field: str, value) -> None:
     _rewrite_header(path, field, lambda section, key: section.__setitem__(key, value))
 
 
-def head_forward(model: Network, tape: Tape, prefix: str, h, training: bool = False,
+def head_forward(model: Network, tape: Tape, prefix: str, h,
                  rng: np.random.Generator | None = None):
     """The head named prefix ("head.1.0", say) on h, as its own dense stack.
 
@@ -122,10 +122,10 @@ def head_forward(model: Network, tape: Tape, prefix: str, h, training: bool = Fa
     arrays = model.checkpoint_arrays()
     layers = [tuple(tape.param(f"{prefix}.{i}.{part}", arrays[f"{prefix}.{i}.{part}"])
                     for part in "wb") for i in range(len(model.head_layers) + 1)]
-    return dense_forward(tape, layers, h, model.dropout_p, training, rng, final_plain=True)
+    return dense_forward(tape, layers, h, model.dropout_p, rng, final_plain=True)
 
 
-def per_head_forward(model: Network, tape: Tape, x: np.ndarray, training: bool = False,
+def per_head_forward(model: Network, tape: Tape, x: np.ndarray,
                      rng: np.random.Generator | None = None):
     """(h, outs): the representation of x, and outs[t][r] = head r of arm t as its own graph.
 
@@ -133,8 +133,8 @@ def per_head_forward(model: Network, tape: Tape, x: np.ndarray, training: bool =
     dense stack (head_forward), one after another in ARMS order, which
     fixes the order of the dropout draws.
     """
-    h = model.phi_forward(tape, tape.constant(check_columns(x, model.input_dim)), training, rng)
-    return h, [[head_forward(model, tape, prefix, h, training, rng) for prefix in arm]
+    h = model.phi_forward(tape, tape.constant(check_columns(x, model.input_dim)), rng)
+    return h, [[head_forward(model, tape, prefix, h, rng) for prefix in arm]
                for arm in model.ARMS]
 
 
@@ -151,14 +151,14 @@ def by_checkpoint_name(model: Network, arrays: dict) -> dict:
     return named
 
 
-def forward_head(model: Network, x: np.ndarray, t: int, r: int, training: bool = False,
+def forward_head(model: Network, x: np.ndarray, t: int, r: int,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Head r of arm t on already-standardized covariates, as an (n, 1) column.
 
-    Runs every head as per_head_forward does, so in training mode it draws
+    Runs every head as per_head_forward does, so given a generator it draws
     the dropout of every head.
     """
-    _, outs = per_head_forward(model, Tape(), x, training, rng)
+    _, outs = per_head_forward(model, Tape(), x, rng)
     return outs[t][r].data.copy()
 
 

@@ -132,30 +132,25 @@ def test_softmax_cross_entropy_label_range():
 # dropout
 
 def test_dropout_eval_and_p0_identity():
-    """Eval mode and p=0 return the input node itself and draw no randomness."""
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state["state"]["state"]
+    """p=0 returns the input node itself. Eval mode is a forward given no generator,
+    which makes no dropout op (test_model checks that it draws nothing)."""
     tape = Tape()
     x = tape.constant(np.ones((3, 3)))
-    assert autodiff.dropout(tape, x, 0.5, False, rng) is x
-    assert autodiff.dropout(tape, x, 0.0, True, rng) is x
-    assert rng.bit_generator.state["state"]["state"] == before
+    assert autodiff.dropout(tape, x, 0.0, np.random.default_rng(0).random(x.shape)) is x
 
 
 def test_dropout_invalid_p():
     tape = Tape()
     x = tape.constant(np.ones((2, 2)))
     with pytest.raises(ConfigError):
-        autodiff.dropout(tape, x, 1.0, True, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        autodiff.dropout(tape, x, 0.5, True, None)
+        autodiff.dropout(tape, x, 1.0, np.random.default_rng(0).random(x.shape))
 
 
 def test_dropout_mean_preserved():
     """p=0.5 on 1e4 ones: sample mean within 3 sigma of 1 (binomial concentration)."""
     tape = Tape()
     x = tape.constant(np.ones((100, 100)))
-    out = autodiff.dropout(tape, x, 0.5, True, np.random.default_rng(7))
+    out = autodiff.dropout(tape, x, 0.5, np.random.default_rng(7).random(x.shape))
     # each output entry is 0 or 2 with variance p/(1-p) = 1; sd of mean = 1e-2
     assert abs(out.data.mean() - 1.0) < 3e-2
     survivors = out.data[out.data != 0.0]
@@ -169,7 +164,7 @@ def test_dropout_backward_uses_forward_mask():
     keep = (mask_rng.random((4, 5)) >= 0.3) / 0.7
     tape = Tape()
     x = tape.param("x", np.full((4, 5), 2.0))
-    out = autodiff.dropout(tape, x, 0.3, True, rng)
+    out = autodiff.dropout(tape, x, 0.3, rng.random(x.shape))
     np.testing.assert_array_equal(out.data, 2.0 * keep)
     # |out - 0| has positive entries exactly at kept positions, so the l1
     # gradient w.r.t. x is sign * keep / n = keep / n.
@@ -245,8 +240,7 @@ def test_backward_without_wanted_parameters_touches_no_node():
 
 def _dropout_loss_graph(model, batch, seed):
     tape = Tape()
-    loss, dist = build_losses(model, batch, tape, training=True,
-                              rng=np.random.default_rng(seed))
+    loss, dist = build_losses(model, batch, tape, rng=np.random.default_rng(seed))
     return tape, autodiff.sub(tape, loss, dist)
 
 
@@ -290,7 +284,7 @@ def test_forward_bit_reproducible():
         x = tape.constant(np.arange(12.0).reshape(4, 3) / 7.0)
         w = tape.param("w", np.linspace(-1, 1, 6).reshape(3, 2))
         h = autodiff.elu(tape, autodiff.matmul(tape, x, w))
-        h = autodiff.dropout(tape, h, 0.4, True, rng)
+        h = autodiff.dropout(tape, h, 0.4, rng.random(h.shape))
         outs.append(h.data.copy())
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -304,7 +298,7 @@ def _every_op(tape: Tape) -> list:
     w = tape.param("w", np.linspace(-1.0, 1.0, 6).reshape(3, 2))
     stack = tape.param("s", np.linspace(-2.0, 2.0, 8).reshape(2, 2, 2))
     h = autodiff.elu(tape, autodiff.matmul(tape, x, w))
-    h = autodiff.dropout(tape, h, 0.3, True, np.random.default_rng(4))
+    h = autodiff.dropout(tape, h, 0.3, np.random.default_rng(4).random(h.shape))
     bias = tape.param("c", np.full((2, 1, 2), 0.25))
     heads = autodiff.add(tape, autodiff.matmul(tape, h, stack), bias)
     a = autodiff.take_rows(tape, heads, [3, 0, 3], member=0)
@@ -518,7 +512,7 @@ def stacked_graph(arrays, uniforms, takes, targets):
     tape = Tape()
     nodes = {group: tape.param(group, array) for group, array in arrays.items()}
     out = autodiff.add(tape, autodiff.matmul(tape, nodes["a"], nodes["w"]), nodes["b"])
-    out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, True, None, uniforms)
+    out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, uniforms)
     root = None
     for member, (take, target) in enumerate(zip(takes, targets)):
         term = autodiff.mse_loss(tape, autodiff.take_rows(tape, out, take, member),
@@ -538,7 +532,7 @@ def per_member_graph(arrays, uniforms, takes, targets):
         w = tape.param(f"w{member}", arrays["w"][member])
         out = autodiff.add(tape, autodiff.matmul(tape, x, w),
                            tape.param(f"b{member}", arrays["b"][member]))
-        out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, True, None, uniforms[member])
+        out = autodiff.dropout(tape, autodiff.elu(tape, out), 0.3, uniforms[member])
         outs.append(out)
         term = autodiff.mse_loss(tape, autodiff.take_rows(tape, out, take), tape.constant(target))
         root = term if root is None else autodiff.add(tape, root, term)
@@ -611,7 +605,7 @@ def test_stacked_shapes_checked():
     with pytest.raises(DimensionError):
         autodiff.take_rows(tape, matrix, [0], 1)
     with pytest.raises(DimensionError):
-        autodiff.dropout(tape, out, 0.5, True, None, np.ones((2, 4, 4)))
+        autodiff.dropout(tape, out, 0.5, np.ones((2, 4, 4)))
     for shape in ((5,), (2, 2, 3, 5)):
         with pytest.raises(DimensionError):
             tape.param("t", np.ones(shape))

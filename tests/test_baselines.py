@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from adbcr import autodiff, data
+from adbcr import autodiff, baselines, data
 from adbcr.autodiff import Adam, Tape
 from adbcr.baselines import (DEFAULT_ALPHA_GRID, DanncrModel, coordinate_descent,
                              danncr_step_confuse, danncr_step_discriminate,
@@ -94,11 +94,12 @@ def test_lasso_huge_alpha_zeroes_weights():
     assert b == y.mean()
 
 
-def test_lasso_objective_non_increasing_over_sweeps():
+def test_lasso_objective_non_increasing_over_sweeps(monkeypatch):
     x, y = regression_problem(seed=4, n=60, d=5)
     previous = np.inf
     for sweeps in (1, 2, 3, 5, 10):
-        w, b = lasso_fit(x, y, 0.05, max_sweeps=sweeps)
+        monkeypatch.setattr(baselines, "LASSO_MAX_SWEEPS", sweeps)
+        w, b = lasso_fit(x, y, 0.05)
         value = lasso_objective(x, y, w, b, 0.05)
         assert value <= previous + 1e-12
         previous = value

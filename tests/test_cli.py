@@ -4,12 +4,13 @@ import json
 import multiprocessing
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
 
 from adbcr import cli, data, evaluation
-from adbcr.errors import DatasetError
+from adbcr.errors import ConfigError, DatasetError
 from adbcr.model import load_model
 
 from conftest import rewrite_with, rewrite_without, run_fresh
@@ -251,6 +252,37 @@ def test_config_file_bad_value(benchmark_csv, tmp_path):
     config.write_text("batch_size=many\n")
     assert run(["train", "--data", benchmark_csv, "--out", tmp_path / "t",
                 "--config", config]) == 2
+
+
+def test_config_file_duplicate_key(benchmark_csv, tmp_path):
+    """A key set twice is refused with both line numbers, not resolved to the last value."""
+    config = tmp_path / "run.cfg"
+    config.write_text("k = 1\n# comment\nk = 2\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{config}:3: duplicate key k "
+                                                    "(first on line 1)")):
+        cli.parse_config_file(str(config))
+    config.write_text("batch_size = 40\nbatch_size = 50\n")
+    assert run(["train", "--data", benchmark_csv, "--out", tmp_path / "t",
+                "--config", config]) == 2
+
+
+@pytest.mark.parametrize("text, chunk", [("50x:50", "50x:50"), ("50xx50:x10", "50xx50:x10"),
+                                         ("8:6,50:50x", "50:50x"), ("x8:6", "x8:6"),
+                                         ("8: 6x ", "8: 6x")])
+def test_architecture_with_an_empty_width_is_refused(tmp_path, text, chunk):
+    """An empty width fails the parser naming its chunk, so the flag exits 2 and a config
+    file raises ConfigError, instead of the width being dropped."""
+    with pytest.raises(ValueError, match=re.escape(repr(chunk))):
+        cli.parse_architectures(text)
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(["search", *REQUIRED_ARGS["search"], "--architectures", text])
+    assert exit_info.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text(f"architectures = {text}\n")
+    with pytest.raises(ConfigError, match=re.escape(repr(chunk))):
+        cli.resolve_options(parser.parse_args(["search", *REQUIRED_ARGS["search"],
+                                               "--config", str(config)]), cli.SEARCH)
 
 
 # ---------------------------------------------------------------------------

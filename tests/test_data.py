@@ -2,6 +2,7 @@
 import csv
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_csv_wide_schema_exposes_effect(tmp_path):
     ds, _ = make(n=100, d=25, seed=11)
     path = str(tmp_path / "wide.csv")
     save_csv(ds, path)
-    header = open(path).readline().strip().split(",")
+    header = Path(path).read_text().splitlines()[0].split(",")
     assert header[:5] == ["t", "y_factual", "y_cfactual", "mu0", "mu1"]
     assert header[5:] == [f"x{j}" for j in range(25)]
     back = load_csv(path)
@@ -514,7 +515,7 @@ def test_csv_round_trip_bit_exact_and_writer_bytes(tmp_path, ds):
     path, reference = str(tmp_path / "d.csv"), str(tmp_path / "ref.csv")
     save_csv(ds, path)
     save_csv_reference(ds, reference)
-    assert open(path, "rb").read() == open(reference, "rb").read()
+    assert Path(path).read_bytes() == Path(reference).read_bytes()
     back = load_csv(path)
     for name in ("x", "t", "y_factual", "y_cf", "mu0", "mu1"):
         saved, loaded = getattr(ds, name), getattr(back, name)
@@ -530,7 +531,7 @@ def test_csv_bytes_match_writer_across_write_blocks(tmp_path):
     path, reference = str(tmp_path / "d.csv"), str(tmp_path / "ref.csv")
     save_csv(ds, path)
     save_csv_reference(ds, reference)
-    assert open(path, "rb").read() == open(reference, "rb").read()
+    assert Path(path).read_bytes() == Path(reference).read_bytes()
     assert load_csv(path).x.tobytes() == ds.x.tobytes()
 
 

@@ -4,13 +4,14 @@ import os
 import pickle
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adbcr.autodiff import Adam
+from adbcr.autodiff import Adam, Tape
 from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
 from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
@@ -195,8 +196,34 @@ def test_dropout_zero_training_equals_eval():
     x = np.random.default_rng(8).normal(size=(4, 3))
     rng = np.random.default_rng(0)
     np.testing.assert_array_equal(
-        forward_head(model, x, 0, 0, training=True, rng=rng),
-        forward_head(model, x, 0, 0, training=False))
+        forward_head(model, x, 0, 0, rng=rng),
+        forward_head(model, x, 0, 0))
+
+
+@pytest.mark.parametrize("prefix, members, widths", [("phi", 1, (6, 5)), ("heads", 4, (4, 2))])
+def test_training_forward_draws_once(prefix, members, widths):
+    """A training forward of the trunk (matrix weights) or of the head stack leaves the
+    generator where one rng.random(members * rows * sum(widths)) call would; given no
+    generator, or at p = 0, it draws nothing and gives the p = 0 bits."""
+    x = np.random.default_rng(8).normal(size=(5, 3))
+
+    def forward(dropout_p, rng):
+        model = AdbcrModel(3, (6, 5), (4, 2), dropout_p=dropout_p, seed=0)
+        tape = Tape()
+        if prefix == "phi":
+            return model.phi_forward(tape, tape.constant(x), rng).data
+        return model.stack_forward(tape, prefix, model.phi_forward(tape, tape.constant(x)),
+                                   rng).data
+
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    forward(0.3, rng)
+    ref.random(members * x.shape[0] * sum(widths))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    plain = forward(0.0, None)
+    untouched = np.random.default_rng(1)
+    np.testing.assert_array_equal(forward(0.3, None), plain)
+    np.testing.assert_array_equal(forward(0.0, untouched), plain)
+    assert untouched.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +283,9 @@ def test_checkpoint_truncated_rejected(tmp_path):
     model = tiny_model()
     path = str(tmp_path / "m.ckpt")
     model.save(path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     for cut in (4, len(blob) // 2, len(blob) - 3):
-        open(path, "wb").write(blob[:cut])
+        Path(path).write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
             load_model(path)
 
@@ -267,11 +294,11 @@ def test_checkpoint_bad_magic_and_trailing(tmp_path):
     model = tiny_model()
     path = str(tmp_path / "m.ckpt")
     model.save(path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(b"X" + blob[1:])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(b"X" + blob[1:])
     with pytest.raises(CheckpointError):
         load_model(path)
-    open(path, "wb").write(blob + b"\x00")
+    Path(path).write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError):
         load_model(path)
 
@@ -280,7 +307,7 @@ def test_checkpoint_byte_identical_same_model(tmp_path):
     p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     tiny_model(seed=5).save(p1, config={"seed": 5})
     tiny_model(seed=5).save(p2, config={"seed": 5})
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_checkpoint_atomic_no_partial_on_error(tmp_path):
@@ -410,13 +437,13 @@ def test_checkpoint_container_field_must_be_valid(tmp_path, field, value):
     """A container field of the wrong type or value fails with CheckpointError naming it."""
     path = str(tmp_path / "m.ckpt")
     tiny_model().save(path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     start = len(b"ADBCR-CKPT\x00") + 4   # magic, u32 version, then the u64 header length
     length = int(np.frombuffer(blob, "<u8", count=1, offset=start)[0])
     header = json.loads(blob[start + 8:start + 8 + length])
     header[field] = value
     payload = json.dumps(header).encode("utf-8")
-    open(path, "wb").write(blob[:start] + np.uint64(len(payload)).tobytes() + payload
+    Path(path).write_bytes(blob[:start] + np.uint64(len(payload)).tobytes() + payload
                            + blob[start + 8 + length:])
     with pytest.raises(CheckpointError, match=re.escape(repr(field))):
         load_model(path)

@@ -199,15 +199,15 @@ def test_single_forward_keeps_dropout_stream_aligned():
     values = []
     for need_distance in (True, False):
         tape = Tape()
-        loss, _ = build_losses(model, batch, tape, training=True,
-                               rng=generator(0, "dropout"), need_distance=need_distance)
+        loss, _ = build_losses(model, batch, tape, rng=generator(0, "dropout"),
+                               need_distance=need_distance)
         values.append(loss.data[0, 0])
     assert values[0] == values[1]
     values = []
     for need_factual in (True, False):
         tape = Tape()
-        _, dist = build_losses(model, batch, tape, training=True,
-                               rng=generator(0, "dropout"), need_factual=need_factual)
+        _, dist = build_losses(model, batch, tape, rng=generator(0, "dropout"),
+                               need_factual=need_factual)
         values.append(dist.data[0, 0])
     assert values[0] == values[1]
 
@@ -304,7 +304,7 @@ def per_head_losses(model, batch: BatchView, tape: Tape, rng, metric: str):
     """(factual, distance) built per head: each head its own graph, rows taken from each."""
     n, m = batch.x.shape[0], batch.n_unlabeled
     x = np.vstack([batch.x, batch.unlabeled_x]) if m else batch.x
-    _, outs = per_head_forward(model, tape, x, True, rng)
+    _, outs = per_head_forward(model, tape, x, rng)
     factual = distance = None
     for t, heads in enumerate(outs):
         rows = np.flatnonzero(batch.t == t)
@@ -336,12 +336,12 @@ def test_stacked_heads_equal_per_head_outputs(kind):
     model, batch = stacked_case(kind)
     x = np.vstack([batch.x, batch.unlabeled_x]) if batch.n_unlabeled else batch.x
     tape = Tape()
-    _, heads = model.forward_heads(tape, tape.constant(x), True, np.random.default_rng(4))
+    _, heads = model.forward_heads(tape, tape.constant(x), np.random.default_rng(4))
     assert heads.shape == (sum(map(len, model.ARMS)), x.shape[0], 1)
     for t, members in enumerate(model.arm_members):
         for r, member in enumerate(members):
             np.testing.assert_array_equal(
-                heads.data[member], forward_head(model, x, t, r, True, np.random.default_rng(4)))
+                heads.data[member], forward_head(model, x, t, r, np.random.default_rng(4)))
 
 
 # (network kind, step): the step's objective and the parameters its optimizer owns.
@@ -366,9 +366,9 @@ def test_stacked_step_objectives_and_gradients_equal_per_head(kind, step, metric
         return distance if step == "C" else factual
 
     tape = Tape()
-    root = objective(tape, *build_losses(model, batch, tape, training=True,
-                                         rng=np.random.default_rng(6), metric=metric,
-                                         need_factual=step != "C", need_distance=step != "A"))
+    root = objective(tape, *build_losses(model, batch, tape, rng=np.random.default_rng(6),
+                                         metric=metric, need_factual=step != "C",
+                                         need_distance=step != "A"))
     ref_tape = Tape()
     ref_root = objective(ref_tape, *per_head_losses(model, batch, ref_tape,
                                                     np.random.default_rng(6), metric))

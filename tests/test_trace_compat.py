@@ -60,7 +60,7 @@ def test_tracer_counts_every_tape_node(network):
     try:
         t.install()
         tape = Tape()
-        loss, _ = objectives.build_losses(model, batch, tape, training=True, rng=rng,
+        loss, _ = objectives.build_losses(model, batch, tape, rng=rng,
                                           need_distance=network is AdbcrModel)
         tape.backward(loss)
     finally:
