@@ -79,12 +79,12 @@ class Tape:
     """
 
     def __init__(self, recording: bool = True):
-        self._recording = recording
+        self.recording = recording
         self._nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
 
     def _record(self, tensor: Tensor) -> Tensor:
-        if not self._recording:
+        if not self.recording:
             tensor.parents, tensor.vjp = (), None
             return tensor
         tensor.index = len(self._nodes)
@@ -92,8 +92,8 @@ class Tape:
         return tensor
 
     def constant(self, value) -> Tensor:
-        """Leaf node for data the loss is not differentiated against."""
-        return self._record(Tensor(_as_tensor(value)))
+        """Leaf node for data the loss is not differentiated against, matrix or stack."""
+        return self._record(Tensor(_as_tensor(value, stack=True)))
 
     def param(self, name: str, value: np.ndarray) -> Tensor:
         """Leaf node for a named parameter, matrix or stack; memoized so every use shares one."""
@@ -117,7 +117,7 @@ class Tape:
         never reaches, which gets zeros. Tape.grad reads a parameter's
         gradient.
         """
-        if not self._recording:
+        if not self.recording:
             raise ConfigError("backward on a tape built with recording=False: "
                               "it keeps no graph to differentiate")
         if root.shape != (1, 1):

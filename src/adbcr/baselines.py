@@ -312,13 +312,13 @@ def danncr_step_confuse(model: DanncrModel, batch: BatchView, opt: Adam,
 def danncr_validation(model: DanncrModel, val_view: BatchView) -> EpochRecord:
     """Eval-mode factual MSE (the criterion) and discriminator cross entropy, full split.
 
-    One forward of the shared representation feeds the heads and the
-    discriminator.
+    One blocked forward of the shared representation feeds the heads and
+    the discriminator (Network.eval_forward).
     """
     tape = Tape(recording=False)
-    h, heads = model.forward_heads(tape, tape.constant(val_view.x))
+    heads, logits = model.eval_forward(tape, val_view.x, extra="disc")
     factual = float(factual_term(tape, model, heads, val_view).data[0, 0])
-    ce = autodiff.softmax_cross_entropy(tape, model.stack_forward(tape, "disc", h), val_view.t)
+    ce = autodiff.softmax_cross_entropy(tape, logits, val_view.t)
     return EpochRecord(0, factual, float(ce.data[0, 0]), factual)
 
 

@@ -54,18 +54,20 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
+def _list_items(text: str) -> list[str]:
+    """The comma-separated items of text; no item may be empty, a trailing one included."""
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise ValueError(f"list {text!r} has an empty item")
+    return parts
+
+
 def parse_int_list(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty integer list")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in _list_items(text))
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty float list")
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in _list_items(text))
 
 
 def parse_fractions(text: str) -> tuple[float, float, float]:
@@ -534,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # glibc mallopt parameters and the values retain_freed_heap() gives them.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-TRIM_THRESHOLD_BYTES = 8 << 20
 MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES
 
 
 def retain_freed_heap() -> bool:
@@ -545,10 +547,10 @@ def retain_freed_heap() -> bool:
     returns the top of the heap to the kernel and faults it back in page by
     page on the next step. This keeps up to TRIM_THRESHOLD_BYTES of free
     heap per malloc arena. Any mallopt call switches off glibc's dynamic
-    mmap threshold, so that one is pinned at the ceiling the dynamic rule
-    climbs to on 64-bit. Process-wide, idempotent, cannot be undone, and
-    changes no result. Returns False, changing nothing, off glibc or where
-    libc has no mallopt.
+    thresholds, so both are pinned at the ceilings the dynamic rule climbs
+    to on 64-bit: the mmap threshold, and twice it for the trim threshold.
+    Process-wide, idempotent, cannot be undone, and changes no result.
+    Returns False, changing nothing, off glibc or where libc has no mallopt.
     """
     if platform.libc_ver()[0] != "glibc":
         return False

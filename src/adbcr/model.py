@@ -9,6 +9,10 @@ weights and biases are one stacked parameter with a member per head, and
 `forward_heads` runs the shared stack once, then every head at once as one
 stacked dense stack. Only the checkpoint names each head's arrays on its
 own (`Network.checkpoint_arrays`), so its layout is one matrix per head.
+Eval-mode forwards (predictions, and the validation entries through
+`adbcr.objectives.build_losses`) run through `Network.eval_forward`, over
+the rows in blocks whose widest activation stays within EVAL_BLOCK_BYTES,
+so their memory does not grow with the number of rows beyond the outputs.
 Predictions average each arm's heads and are de-standardized with scalers
 learned from the training split. `load` checks every header field it reads
 and every stored parameter's name and shape.
@@ -38,6 +42,10 @@ from .seeding import generator
 
 _MAGIC = b"ADBCR-CKPT\x00"
 _VERSION = 1
+
+# Byte cap of the widest activation in one block of Network.eval_forward:
+# members x rows x widest layer x 8 bytes.
+EVAL_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -215,11 +223,37 @@ class Network:
         h = self.phi_forward(tape, x, rng)
         return h, self.stack_forward(tape, "heads", h, rng)
 
+    def eval_forward(self, tape: Tape, x: np.ndarray, extra: str | None = None,
+                     raw: bool = False):
+        """(heads, logits): forward_heads in eval mode over the rows of x in blocks.
+
+        heads is the (R, n, 1) head output stack on the standardized rows x
+        (with raw, x holds raw covariates, standardized a block at a time);
+        logits is the named extra stack's output on them, or None. Both are
+        constants on tape. Each block has at least one row, and as many as
+        keep members x rows x widest layer x 8 bytes within EVAL_BLOCK_BYTES,
+        so an x that fits in one block gives forward_heads' bits. BLAS may
+        pick another kernel for a block's row count, so a blocked output can
+        differ from the one-block forward in the last bits.
+        """
+        members = len(self.head_prefixes)
+        widest = max(*self.shared_layers, *self.head_layers, *(w for _, w in self.EXTRA_STACKS))
+        rows = max(1, EVAL_BLOCK_BYTES // (8 * members * widest))
+        heads = np.empty((members, len(x), 1))
+        logits = None if extra is None else np.empty((len(x), dict(self.EXTRA_STACKS)[extra]))
+        for start in range(0, len(x), rows):
+            block = slice(start, start + rows)
+            rows_x = self.scalers.standardize_x(x[block]) if raw else x[block]
+            h, out = self.forward_heads(tape, tape.constant(rows_x))
+            heads[:, block] = out.data
+            if logits is not None:
+                logits[block] = self.stack_forward(tape, extra, h).data
+        return tape.constant(heads), None if logits is None else tape.constant(logits)
+
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """De-standardized (y0, y1) on raw covariates, eval mode; each arm averages its heads."""
         x = check_columns(x, self.input_dim)
-        tape = Tape(recording=False)
-        _, heads = self.forward_heads(tape, tape.constant(self.scalers.standardize_x(x)))
+        heads, _ = self.eval_forward(Tape(recording=False), x, raw=True)
         y0, y1 = (self.scalers.destandardize_y(np.mean(heads.data[list(members), :, 0], axis=0))
                   for members in self.arm_members)
         return y0, y1

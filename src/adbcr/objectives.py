@@ -8,7 +8,8 @@ randomness as phases that build it, which is what makes ablation modes
 reduce to each other bit-for-bit. The factual term serves every network
 kind; the distance needs two heads per arm. Eval-mode values come from
 build_losses without a generator, on a tape that records nothing, as the
-validation entries of adbcr.trainer and adbcr.baselines build them.
+validation entries of adbcr.trainer and adbcr.baselines build them; that
+forward runs in row blocks (Network.eval_forward).
 """
 from __future__ import annotations
 
@@ -89,13 +90,18 @@ def build_losses(model: Network, batch: BatchView, tape: Tape, *,
     Returns (factual, distance); entries not asked for are None. Given rng,
     the forward draws its dropout from it. The shared representation and
     every head forward exactly once regardless of which terms are requested,
-    so the dropout stream advances identically.
+    so the dropout stream advances identically. Without rng, on a tape that
+    records nothing, the forward runs in row blocks (Network.eval_forward);
+    each term is still reduced once over all rows.
     """
     _check_metric(metric)
     n = batch.x.shape[0]
     m = batch.n_unlabeled
     stacked = np.vstack([batch.x, batch.unlabeled_x]) if m > 0 else batch.x
-    _, heads = model.forward_heads(tape, tape.constant(stacked), rng)
+    if tape.recording or rng is not None:
+        _, heads = model.forward_heads(tape, tape.constant(stacked), rng)
+    else:
+        heads, _ = model.eval_forward(tape, stacked)
     factual = factual_term(tape, model, heads, batch) if need_factual else None
 
     distance = None

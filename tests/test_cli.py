@@ -285,6 +285,26 @@ def test_architecture_with_an_empty_width_is_refused(tmp_path, text, chunk):
                                                "--config", str(config)]), cli.SEARCH)
 
 
+@pytest.mark.parametrize("flag, text", [("--shared-layers", "50,,50"), ("--head-layers", "50,"),
+                                        ("--batch-size", ",40"), ("--dropout", "0.1,,0.3"),
+                                        ("--alpha-grid", "0.1, ,1"), ("--fractions", ",")])
+def test_list_with_an_empty_item_is_refused(tmp_path, flag, text):
+    """An empty list item, a trailing one included, fails the parser naming the list, so
+    the flag exits 2 and a config file raises ConfigError, instead of the item being dropped."""
+    command = "search" if flag in ("--dropout", "--batch-size") else "train"
+    key = flag[2:].replace("-", "_")
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([command, *REQUIRED_ARGS[command], flag, text])
+    assert exit_info.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"list {text.strip()!r} has an empty item")):
+        cli.resolve_options(parser.parse_args([command, *REQUIRED_ARGS[command],
+                                               "--config", str(config)]),
+                            cli.SEARCH if command == "search" else cli.TRAIN)
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -528,7 +548,7 @@ def test_cli_keeps_the_blas_threads_the_environment_names(blas_at_two_threads, m
 # ---------------------------------------------------------------------------
 # allocator setting
 
-# One training step's tape in miniature: 40 arrays of 100 KB, all freed at its end.
+# One training step's tape in miniature: 40 arrays of argv[2] float64s, all freed at its end.
 STEP_FAULTS = """
     import resource, sys
     import numpy as np
@@ -539,7 +559,7 @@ STEP_FAULTS = """
 
     def rounds(k):
         for _ in range(k):
-            arrays = [np.ones(12_500) for _ in range(40)]
+            arrays = [np.ones(int(sys.argv[2])) for _ in range(40)]
             del arrays
 
     rounds(2)
@@ -551,8 +571,16 @@ STEP_FAULTS = """
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's")
 def test_retain_freed_heap_ends_per_step_page_faults():
-    without = int(run_fresh(STEP_FAULTS, 0))
-    with_setting = int(run_fresh(STEP_FAULTS, 1))
+    without = int(run_fresh(STEP_FAULTS, 0, 12_500))
+    with_setting = int(run_fresh(STEP_FAULTS, 1, 12_500))
+    assert with_setting * 10 < without
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's")
+def test_retain_freed_heap_keeps_a_12_mb_tape():
+    """A 12 MB tape, above an 8 MiB trim threshold, is kept too: no per-step faults."""
+    without = int(run_fresh(STEP_FAULTS, 0, 37_500))
+    with_setting = int(run_fresh(STEP_FAULTS, 1, 37_500))
     assert with_setting * 10 < without
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from adbcr.autodiff import Adam, Tape
 from adbcr.baselines import DanncrModel, fit_lasso
 from adbcr.errors import CheckpointError, ConfigError, DimensionError
-from adbcr.model import (AdbcrModel, Scalers, canonical_fingerprint, load_model,
+from adbcr.model import (AdbcrModel, Network, Scalers, canonical_fingerprint, load_model,
                          read_checkpoint, write_checkpoint)
 from adbcr.trainer import TrainConfig
 
@@ -189,6 +189,55 @@ def test_predict_frees_each_layer_as_it_goes():
     finally:
         tracemalloc.stop()
     assert peak < 4 * head_stack
+
+
+def test_predict_peak_is_flat_in_rows():
+    """Beyond the (R, n, 1) head outputs it returns, predict's traced peak does not grow
+    with n: from 20k to 80k rows it moves by under 64 KiB on the default net, where a
+    forward over all rows at once adds R x 50 x 8 bytes per row and layer (96 MB)."""
+    config, d = TrainConfig(), 10
+    model = AdbcrModel(d, config.shared_layers, config.head_layers, config.dropout_p, seed=0)
+    x = np.random.default_rng(3).normal(size=(80_000, d))
+    model.predict_potential_outcomes(x[:8])
+    working = []
+    for n in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            model.predict_potential_outcomes(x[:n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        working.append(peak - len(model.head_prefixes) * n * 8)
+    assert abs(working[1] - working[0]) < 64 << 10
+
+
+@pytest.mark.parametrize("network", [AdbcrModel, DanncrModel], ids=["adbcr", "danncr"])
+def test_eval_forward_in_one_block_is_forward_heads(monkeypatch, network):
+    """An input that fits in one block runs one forward_heads and gives its bits, the
+    discriminator's logits included."""
+    model = network(3, (6, 5), (4, 3), dropout_p=0.3, seed=1)
+    x = np.random.default_rng(2).normal(size=(300, 3))
+    tape = Tape(recording=False)
+    h, heads = model.forward_heads(tape, tape.constant(x))
+    extra = "disc" if network is DanncrModel else None
+    blocks = []
+    forward_heads = Network.forward_heads
+    monkeypatch.setattr(Network, "forward_heads",
+                        lambda self, *args: blocks.append(1) or forward_heads(self, *args))
+    got, logits = model.eval_forward(Tape(recording=False), x, extra)
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(got.data, heads.data)
+    if extra is None:
+        assert logits is None
+    else:
+        np.testing.assert_array_equal(logits.data, model.stack_forward(tape, extra, h).data)
+
+
+@pytest.mark.parametrize("network", [AdbcrModel, DanncrModel], ids=["adbcr", "danncr"])
+def test_predict_on_zero_rows_is_empty(network):
+    model = network(3, (6, 5), (4,), dropout_p=0.1, seed=0)
+    y0, y1 = model.predict_potential_outcomes(np.empty((0, 3)))
+    assert y0.shape == y1.shape == (0,)
 
 
 def test_dropout_zero_training_equals_eval():

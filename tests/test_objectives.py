@@ -3,6 +3,7 @@
 Eval-mode values are read off build_losses on a tape that records nothing,
 and the criterion off trainer.evaluate_validation.
 """
+import math
 import pickle
 
 import numpy as np
@@ -13,7 +14,7 @@ from adbcr import model as model_module
 from adbcr.autodiff import Tape, grads_for
 from adbcr.baselines import DanncrModel
 from adbcr.errors import BatchCompositionError, ConfigError, DimensionError
-from adbcr.model import AdbcrModel
+from adbcr.model import AdbcrModel, Network
 from adbcr.objectives import METRICS, BatchView, build_losses
 from adbcr.seeding import generator
 from adbcr.trainer import TrainConfig, evaluate_validation
@@ -226,6 +227,19 @@ def test_distance_graph_counter():
     assert objectives.distance_graph_builds == before + 2
 
 
+def test_distance_graph_counter_in_row_blocks(monkeypatch):
+    """Validation in one-row blocks still builds one distance graph (adbcr) or none."""
+    monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1)
+    batch = random_batch(19, n=12, d=2)
+    before = objectives.distance_graph_builds
+    evaluate_validation(AdbcrModel(2, (3,), (2,), dropout_p=0.1, seed=0), batch, TrainConfig())
+    assert objectives.distance_graph_builds == before + 1
+    evaluate_validation(AdbcrModel(2, (3,), (2,), dropout_p=0.1, seed=0), batch,
+                        TrainConfig(mode="a_tarnet"))
+    baselines.danncr_validation(DanncrModel(2, (3,), (2,), dropout_p=0.1, seed=0), batch)
+    assert objectives.distance_graph_builds == before + 1
+
+
 def test_batchview_alignment_checks():
     with pytest.raises(DimensionError):
         BatchView(x=np.zeros((3, 2)), t=np.zeros(2, dtype=np.int64), y=np.zeros(3))
@@ -421,3 +435,33 @@ def test_eval_sites_use_a_non_recording_tape_bit_equal(monkeypatch, site):
     recorded = pickle.dumps(call(model, view))
     assert asked == [False]
     assert loose == recorded
+
+
+def _values(result) -> np.ndarray:
+    """An eval site's numbers: the (y0, y1) predictions, or a record's finite fields."""
+    if isinstance(result, tuple):
+        return np.concatenate(result)
+    return np.array([v for v in (result.factual, result.distance, result.criterion)
+                     if v is not None])
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("site", list(EVAL_SITES))
+def test_eval_sites_in_row_blocks_match_the_whole_split(monkeypatch, site, rows):
+    """With a block budget of `rows` rows, each eval-only forward runs ceil(n / rows)
+    blocks, and its values stay within 1e-10 relative of the one-block forward."""
+    _, network, call = EVAL_SITES[site]
+    model = network(3, (6, 5), (4, 3), dropout_p=0.3, seed=4)
+    view = random_batch(seed=2, n=60, unlabeled=5)
+    whole = _values(call(model, view))
+    widest = max(*model.shared_layers, *model.head_layers)
+    monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES",
+                        8 * len(model.head_prefixes) * widest * rows)
+    blocks = []
+    forward_heads = Network.forward_heads
+    monkeypatch.setattr(Network, "forward_heads",
+                        lambda self, *args: blocks.append(1) or forward_heads(self, *args))
+    blocked = _values(call(model, view))
+    n = 65 if site.startswith("evaluate_validation") else 60   # build_losses adds the pool
+    assert len(blocks) == math.ceil(n / rows)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-10, atol=0)

@@ -13,20 +13,24 @@ from conftest import run_fresh
 pytestmark = pytest.mark.slow
 
 N = 100_000
-# ru_maxrss of one `adbcr train --max-epochs 1` on N rows with the default net. The
-# final predictions on all N rows dominate it: about 530 MB on forwards that free each
-# layer as they go, about 1150 MB where the forward records its tape.
-TRAIN_PEAK_CEILING_MB = 800
+# Peak resident set of one `adbcr train --max-epochs 1` on N rows with the default net
+# (about 78 MB). Loading the CSV dominates it (about 60 MB); the eval forwards (validation and the final
+# predictions) run in row blocks of about 1 MiB per activation. A forward over all N rows
+# at once took it to about 530 MB.
+TRAIN_PEAK_CEILING_MB = 160
 # nn_pehe's neighbour search keeps within NN_BLOCK_BYTES; with its per-row arrays
 # it peaks near 12 MiB on the validation rows; unblocked it would need GBs.
 NN_PEHE_CEILING_BYTES = 3 * NN_BLOCK_BYTES
 
+# VmHWM is the peak of this process image alone. ru_maxrss would also count the test
+# process's own resident set at the spawn, which grows with the tests run before it.
 TRAIN_AND_REPORT_PEAK = """
-    import resource, sys
+    import sys
     from adbcr import cli
 
     code = cli.main(sys.argv[1:])
-    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    with open("/proc/self/status") as status:
+        print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
