@@ -43,12 +43,11 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, TrainingError
 
 
-def _as_tensor(value, stack: bool = False) -> np.ndarray:
-    """value as contiguous float64: a matrix, or with stack also a 3-d stack of them."""
+def _as_tensor(value) -> np.ndarray:
+    """value as contiguous float64: a matrix or a 3-d stack of them."""
     arr = np.ascontiguousarray(value, dtype=np.float64)
-    if arr.ndim != 2 and not (stack and arr.ndim == 3):
-        raise DimensionError(f"expected a {'2-d or 3-d' if stack else '2-d'} tensor, "
-                             f"got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise DimensionError(f"expected a 2-d or 3-d tensor, got shape {arr.shape}")
     return arr
 
 
@@ -93,13 +92,13 @@ class Tape:
 
     def constant(self, value) -> Tensor:
         """Leaf node for data the loss is not differentiated against, matrix or stack."""
-        return self._record(Tensor(_as_tensor(value, stack=True)))
+        return self._record(Tensor(_as_tensor(value)))
 
     def param(self, name: str, value: np.ndarray) -> Tensor:
         """Leaf node for a named parameter, matrix or stack; memoized so every use shares one."""
         node = self.params.get(name)
         if node is None:
-            node = self._record(Tensor(_as_tensor(value, stack=True)))
+            node = self._record(Tensor(_as_tensor(value)))
             self.params[name] = node
         return node
 
@@ -363,13 +362,10 @@ class ParamSet:
     def add(self, name: str, array: np.ndarray) -> None:
         if name in self._arrays:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._arrays[name] = _as_tensor(array, stack=True)
+        self._arrays[name] = _as_tensor(array)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
 
     def names(self) -> list[str]:
         return list(self._arrays)

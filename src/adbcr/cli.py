@@ -6,11 +6,12 @@ argparse dest; the entry gives its flag, parser, default, help and choices.
 Config files are flat ``key = value`` text, parsed and checked as the flags
 are; flags win over file values, file values over defaults. --seed, --out,
 --config, --data, --mode, --jobs and --checkpoint are flags only. Each
-command finishes by writing manifest.json (atomically) with the effective
-configuration, paths, tool version, and wall-clock duration, so a run can
-be reproduced from its manifest alone. `main` keeps freed heap in the
-process and runs OpenBLAS on one thread unless the environment names a
-thread count.
+command finishes by writing manifest.json with the effective configuration,
+paths, tool version, and wall-clock duration, so a run can be reproduced
+from its manifest alone. Every output file but history.tsv is written
+through `adbcr.data.write_atomically`, so it appears whole or not at all.
+`main` keeps freed heap in the process and runs OpenBLAS on one thread
+unless the environment names a thread count.
 
 Exit codes: 0 all artifacts written, 1 runtime failure (divergence,
 search with no usable run or with a worker process that died, I/O),
@@ -26,20 +27,16 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from . import baselines, blas, data, evaluation, objectives, trainer
+from .data import DEFAULT_FRACTIONS
 from .errors import AdbcrError, ConfigError, SearchError, TrainingError
 from .evaluation import MetricsReport
 from .model import canonical_fingerprint, header_field, load_checkpoint, valid_int, valid_list, valid_real
 from .seeding import check_seed
-
-DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +173,14 @@ def resolve_options(args, table: dict[str, Option]) -> dict:
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def write_manifest(args, options: dict, inputs: dict, outputs: dict, started: float,
                    status: str = "ok", error: str | None = None) -> str:
-    """Write the run's manifest.json into args.out atomically; returns its path."""
+    """Write the run's manifest.json into args.out; returns its path."""
     payload = {
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "config": {k: _jsonable(v) for k, v in options.items()},
+        "config": options,
         "inputs": inputs,
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
@@ -201,16 +188,9 @@ def write_manifest(args, options: dict, inputs: dict, outputs: dict, started: fl
         "error": error,
     }
     path = os.path.join(args.out, "manifest.json")
-    fd, tmp = tempfile.mkstemp(dir=args.out, prefix=".manifest-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with data.write_atomically(path, encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
     return path
 
 
@@ -253,9 +233,8 @@ def cmd_generate(args) -> int:
     csv_path = os.path.join(args.out, "dataset.csv")
     truth_path = os.path.join(args.out, "truth.json")
     data.save_csv(dataset, csv_path)
-    with open(truth_path, "w", encoding="utf-8") as f:
-        json.dump({k: _jsonable(v.tolist() if isinstance(v, np.ndarray) else v)
-                   for k, v in truth.items()}, f, indent=2, sort_keys=True)
+    with data.write_atomically(truth_path, encoding="utf-8") as f:
+        json.dump(truth, f, indent=2, sort_keys=True)
         f.write("\n")
     manifest_path = write_manifest(args, options, {},
                                    {"dataset": csv_path, "truth": truth_path}, started)
@@ -298,7 +277,8 @@ DATA = {
     "split_seed": Option("--split-seed", int, 0,
                          "Seed of the train/validation/test split (default 0)"),
     "fractions": Option("--fractions", parse_fractions, DEFAULT_FRACTIONS,
-                        "Split fractions train,validation,test (default 0.63,0.27,0.10)"),
+                        "Split fractions train,validation,test (default "
+                        + ",".join(f"{f:.2f}" for f in DEFAULT_FRACTIONS) + ")"),
     "unlabeled": Option("--unlabeled", str, "none",
                         "Strip this split's outcomes into the unlabeled pool", ("none", "test")),
 }

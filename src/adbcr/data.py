@@ -10,9 +10,11 @@ stripping state, and generator propensities live in memory only.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -37,6 +39,9 @@ NONLINEARITIES = ("linear", "quadratic", "exp")
 
 # Rows save_csv formats per write, so its temporaries stay small at any n.
 CSV_WRITE_ROWS = 64
+
+# The split fractions train, validation, test when none are given.
+DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
 
 
 @dataclass
@@ -211,7 +216,7 @@ def _largest_remainder(total: int, fractions: tuple[float, ...]) -> list[int]:
     return counts
 
 
-def split(dataset: Dataset, fractions: tuple[float, float, float] = (0.63, 0.27, 0.10),
+def split(dataset: Dataset, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
           seed: int = 0) -> Dataset:
     """Assign train/validation/test codes, stratified by treatment.
 
@@ -277,6 +282,27 @@ def strip_outcomes(dataset: Dataset, rows: np.ndarray) -> Dataset:
     return replace(dataset, unlabeled_mask=mask)
 
 
+@contextlib.contextmanager
+def write_atomically(path: str, mode: str = "w", **open_kwargs):
+    """Yield a file ("w" or "wb") that replaces path when the block ends.
+
+    The package's one writer of whole output files. The file is a hidden one
+    beside path, made with exclusive create, so the umask sets its mode as
+    for a plain open. If the block raises, it is deleted and path is left
+    as it was.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write the interchange CSV: CRLF line ends, floats with 17 significant digits."""
     columns = ["t", "y_factual"]
@@ -289,7 +315,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
     columns += [f"x{j}" for j in range(dataset.d)]
     # The bytes csv.writer (excel dialect) writes: no cell needs quoting.
     line = "%d" + ",%.17g" * (len(columns) - 1) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with write_atomically(path, encoding="utf-8", newline="") as f:
         f.write(",".join(columns) + "\r\n")
         for start in range(0, dataset.n, CSV_WRITE_ROWS):
             block = np.column_stack([v[start:start + CSV_WRITE_ROWS] for v in (*values, dataset.x)])

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import blas
-from .data import TEST, TRAIN, VAL, Dataset
+from .data import TEST, TRAIN, VAL, Dataset, write_atomically
 from .errors import ConfigError, DimensionError, DomainError, SearchError, TrainingError
+from .model import Scalers
 from .seeding import generator
 from .trainer import TrainConfig, TrainResult, train
 
@@ -124,12 +125,12 @@ def _nearest(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
 def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.ndarray:
     """Effect error against nearest-neighbour-imputed counterfactual outcomes.
 
-    Distances are Euclidean on covariates standardized over the given rows;
-    ties break toward the lowest row index. t must hold 0s and 1s, with
-    both arms present, and x and y must be finite. The neighbour search
-    (_nearest) stays within NN_BLOCK_BYTES whatever the number of rows, but
-    the standardized copy of x, its per-arm copies and the x - mean
-    temporary grow with n.
+    Distances are Euclidean on covariates standardized over the given rows
+    by `Scalers`; ties break toward the lowest row index. t must hold 0s
+    and 1s, with both arms present, and x and y must be finite. The
+    neighbour search (_nearest) stays within NN_BLOCK_BYTES whatever the
+    number of rows, but the standardized copy of x and its per-arm copies
+    grow with n.
 
     tau_hat is one estimate, shape (n,), scored as a float; or k estimates
     stacked as (k, n), scored as an array of k floats against one
@@ -155,10 +156,7 @@ def nn_pehe(x: np.ndarray, t: np.ndarray, y: np.ndarray, tau_hat) -> float | np.
         raise DomainError("nn_pehe needs both treatment arms")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("nn_pehe needs finite covariates and outcomes")
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    sd[sd == 0.0] = 1.0
-    z = (x - mean) / sd
+    z = Scalers.fit(x, y).standardize_x(x)
     if not np.isfinite(z).all():
         raise DomainError("nn_pehe's covariates overflow when standardized")
     imputed = np.empty(n)
@@ -198,7 +196,7 @@ def _fmt(value) -> str:
 
 
 def write_reports_csv(path: str, reports: list[MetricsReport]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with write_atomically(path, encoding="utf-8") as f:
         f.write(",".join(REPORT_COLUMNS) + "\n")
         for r in reports:
             f.write(",".join(_fmt(getattr(r, c)) for c in REPORT_COLUMNS) + "\n")
@@ -442,7 +440,7 @@ RUN_TABLE_COLUMNS = ("index", "status", "fingerprint", "mode", "shared_layers",
 
 def write_run_table(path: str, result: SearchResult) -> None:
     """Per-run CSV in config order with a stable column set."""
-    with open(path, "w", encoding="utf-8") as f:
+    with write_atomically(path, encoding="utf-8") as f:
         f.write(",".join(RUN_TABLE_COLUMNS) + "\n")
         for rec in result.records:
             c = rec.config

@@ -20,16 +20,16 @@ and every stored parameter's name and shape.
 The module also owns the checkpoint container used by every model kind in
 the package: a magic string, a format version, a canonical JSON header, and
 little-endian float64 parameter blobs, with nothing time-dependent so equal
-runs produce equal bytes.
+runs produce equal bytes. A checkpoint is written through
+`adbcr.data.write_atomically`, so it appears whole or not at all, with the
+mode the umask gives any other output file.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import os
 import reprlib
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +37,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import ParamSet, Tape
+from .data import write_atomically
 from .errors import CheckpointError, ConfigError, DimensionError
 from .seeding import generator
 
@@ -71,7 +72,10 @@ class Scalers:
         return Scalers(x_mean, x_std, float(y.mean()), y_std if y_std > 0.0 else 1.0)
 
     def standardize_x(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.x_mean) / self.x_std
+        """(x - x_mean) / x_std, dividing the one n x d difference in place."""
+        z = x - self.x_mean
+        z /= self.x_std
+        return z
 
     def standardize_y(self, y: np.ndarray) -> np.ndarray:
         return (y - self.y_mean) / self.y_std
@@ -342,21 +346,13 @@ def write_checkpoint(path: str, kind: str, arch: dict,
         **(extra or {}),
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(_MAGIC)
-            f.write(np.uint32(_VERSION).tobytes())
-            f.write(np.uint64(len(payload)).tobytes())
-            f.write(payload)
-            for a in arrays.values():
-                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with write_atomically(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(np.uint32(_VERSION).tobytes())
+        f.write(np.uint64(len(payload)).tobytes())
+        f.write(payload)
+        for a in arrays.values():
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:

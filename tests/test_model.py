@@ -299,6 +299,22 @@ def test_scaler_constant_column_safe():
     assert s.standardize_y(y).std() == 0.0
 
 
+def test_standardize_x_holds_one_temporary():
+    """On 100k x 10 standardize_x allocates its result and, beside it, no more than numpy's
+    64 KiB ufunc buffer and change; (x - mean) / std takes a second n x d temporary (8 MB).
+    The bits are the same."""
+    x = np.random.default_rng(4).normal(loc=2.0, scale=3.0, size=(100_000, 10))
+    s = Scalers.fit(x, x[:, 0])
+    tracemalloc.start()
+    try:
+        z = s.standardize_x(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + (128 << 10)
+    assert z.tobytes() == ((x - s.x_mean) / s.x_std).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
