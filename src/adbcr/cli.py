@@ -7,9 +7,10 @@ Config files are flat ``key = value`` text, parsed and checked as the flags
 are; flags win over file values, file values over defaults. --seed, --out,
 --config, --data, --mode, --jobs and --checkpoint are flags only. Each
 command finishes by writing manifest.json with the effective configuration,
-paths, tool version, and wall-clock duration, so a run can be reproduced
-from its manifest alone. Every output file but history.tsv is written
-through `adbcr.data.write_atomically`, so it appears whole or not at all.
+paths, the dataset's sha256, tool version, and wall-clock duration, so a run
+can be reproduced from its manifest alone. Every output file but history.tsv
+is written through `adbcr.data.write_atomically`, so it appears whole or not
+at all.
 `main` keeps freed heap in the process and runs OpenBLAS on one thread
 unless the environment names a thread count.
 
@@ -303,6 +304,7 @@ def cmd_train(args) -> int:
     options = resolve_options(args, TRAIN)
     mode = args.mode
     dataset = _load_split_dataset(args.data, options)
+    inputs = {"data": args.data, "data_sha256": dataset.sha256}
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     report_path = os.path.join(args.out, "report.csv")
@@ -330,7 +332,7 @@ def cmd_train(args) -> int:
         except TrainingError as e:
             evaluation.write_reports_csv(report_path, [MetricsReport(
                 "failed", 0, None, None, float("nan"), note=f"training failed: {e}")])
-            write_manifest(args, options, {"data": args.data}, outputs, started,
+            write_manifest(args, options, inputs, outputs, started,
                            status="failed", error=str(e))
             print(f"training failed: {e}", file=sys.stderr)
             return 1
@@ -345,7 +347,7 @@ def cmd_train(args) -> int:
               f"validation criterion {result.best_value:.6g}")
 
     _write_reports(report_path, reports)
-    manifest_path = write_manifest(args, options, {"data": args.data}, outputs, started)
+    manifest_path = write_manifest(args, options, inputs, outputs, started)
     print(f"wrote {ckpt_path}")
     print(f"wrote {manifest_path}")
     return 0
@@ -375,6 +377,7 @@ def cmd_search(args) -> int:
     started = time.monotonic()
     options = resolve_options(args, SEARCH)
     dataset = _load_split_dataset(args.data, options)
+    inputs = {"data": args.data, "data_sha256": dataset.sha256}
     space = evaluation.SearchSpace(**{key: options[key] for key in SEARCH_SPACE
                                       if options[key] is not None})
     base = trainer.TrainConfig(**{key: options[key] for key in RUN})
@@ -390,7 +393,7 @@ def cmd_search(args) -> int:
         result = evaluation.search(dataset, space, mode, args.seed,
                                    jobs=args.jobs, base=base)
     except SearchError as e:
-        write_manifest(args, options, {"data": args.data}, outputs, started,
+        write_manifest(args, options, inputs, outputs, started,
                        status="failed", error=str(e))
         print(f"search failed: {e}", file=sys.stderr)
         return 1
@@ -407,7 +410,7 @@ def cmd_search(args) -> int:
     manifest_path = write_manifest(
         args, {**options, "best_fingerprint": best.config.fingerprint(),
                "best_index": result.best_index},
-        {"data": args.data}, outputs, started)
+        inputs, outputs, started)
     print(f"wrote {table_path}")
     print(f"wrote {ckpt_path}")
     print(f"wrote {manifest_path}")
@@ -453,7 +456,8 @@ def cmd_eval(args) -> int:
     _write_reports(report_path, reports)
     manifest_path = write_manifest(
         args, {**options, "split_seed_used": split_seed, "fractions_used": fractions},
-        {"checkpoint": args.checkpoint, "data": args.data}, {"report": report_path}, started)
+        {"checkpoint": args.checkpoint, "data": args.data, "data_sha256": dataset.sha256},
+        {"report": report_path}, started)
     print(f"wrote {report_path}")
     print(f"wrote {manifest_path}")
     return 0

@@ -6,15 +6,24 @@ optionally `y_cfactual`, `mu0`, `mu1`, and then one column per covariate
 only once. Lines end in CRLF, as csv's excel dialect writes them. Floats
 are serialized with 17 significant digits so a save/load round trip is
 exact; a cell loads as Python's float() reads it. Split assignment,
-stripping state, and generator propensities live in memory only.
+stripping state, the CSV's digest and generator propensities live in
+memory only.
+
+load_csv parses a file's records once per content: it keeps the table in
+a hidden cache beside a regular-file CSV (`.<name>.table.npz`), keyed by
+the sha256 of the bytes it parsed, and a later load of the same bytes
+reads the table back. A cache that is missing, damaged or of other bytes
+is a miss, and a miss parses and rewrites it; deleting one is always safe.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import itertools
 import math
 import os
+import stat
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -43,15 +52,20 @@ CSV_WRITE_ROWS = 64
 # The split fractions train, validation, test when none are given.
 DEFAULT_FRACTIONS = (0.63, 0.27, 0.10)
 
+# The tag a table cache carries; a cache with another tag is a miss.
+TABLE_CACHE_FORMAT = "adbcr-csv-table-1"
+
 
 @dataclass
 class Dataset:
     """Covariates, treatments, outcomes, and optional ground truth.
 
-    split and unlabeled_mask are in-memory bookkeeping: split codes rows
-    into train/validation/test, unlabeled_mask marks rows whose outcomes
-    were stripped into the adaptation pool. propensity is kept by the
-    generator for diagnostics and is never serialized.
+    split, unlabeled_mask and sha256 are in-memory bookkeeping: split codes
+    rows into train/validation/test, unlabeled_mask marks rows whose
+    outcomes were stripped into the adaptation pool, and sha256 is the hex
+    digest of the CSV bytes load_csv parsed (None for a generated dataset or
+    a CSV that is not a regular file). propensity is kept by the generator
+    for diagnostics and is never serialized.
     """
 
     x: np.ndarray
@@ -63,6 +77,7 @@ class Dataset:
     split: np.ndarray | None = None
     unlabeled_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
     propensity: np.ndarray | None = None
+    sha256: str | None = None
 
     def __post_init__(self):
         n = self.x.shape[0]
@@ -341,6 +356,45 @@ def _records(f):
         yield line
 
 
+def _file_digest(f) -> str | None:
+    """The sha256 hex digest of a regular file's bytes, with f rewound; else None.
+
+    The bytes are read in chunks from f's own buffer, so the digest is of
+    the bytes f then parses and no whole-file buffer is held.
+    """
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        return None
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: f.buffer.read(1 << 20), b""):
+        digest.update(chunk)
+    f.seek(0)
+    return digest.hexdigest()
+
+
+def _table_cache_path(path: str) -> str:
+    directory, name = os.path.split(os.path.realpath(path))
+    return os.path.join(directory, f".{name}.table.npz")
+
+
+def _read_table_cache(path: str, digest: str, width: int) -> np.ndarray | None:
+    """The table cached at path for the bytes of digest, or None (a miss).
+
+    A hit needs the format tag and the digest to match and a float64, 2-d
+    table of the header's width with at least one row.
+    """
+    try:   # np.load given a path leaks its file on a damaged zip, so pass an open file
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as cache:
+            if str(cache["format"]) != TABLE_CACHE_FORMAT or str(cache["sha256"]) != digest:
+                return None
+            table = cache["table"]
+    except Exception:   # absent, truncated, not an npz, or lacking an entry
+        return None
+    if (table.dtype != np.float64 or table.ndim != 2
+            or table.shape[1] != width or table.shape[0] < 1):
+        return None
+    return table
+
+
 def load_csv(path: str) -> Dataset:
     """Parse the interchange CSV; errors carry the offending row and column.
 
@@ -357,8 +411,21 @@ def load_csv(path: str) -> Dataset:
     That names the first bad cell, or, if no cell is bad, returns float()'s
     table: so quoted cells, underscores and non-ASCII digits load as
     float() reads them.
+
+    A regular file is hashed (sha256) before it is parsed, from the same
+    handle, and the digest is kept as the Dataset's sha256. The header is
+    read and checked on every load. The table then comes from the hidden
+    cache beside the file if that holds one for these bytes
+    (_read_table_cache), else from the parse; either way it goes through
+    the same width, finiteness and treatment checks, so a hit returns the
+    parse's arrays bit for bit. A table that was parsed and passed them is
+    written to the cache through write_atomically; a write that fails with
+    OSError (a read-only directory, a full disk) is skipped. A file that is
+    not regular (a FIFO, a pipe on /dev/stdin) is parsed with no cache and
+    no digest.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        digest = _file_digest(f)
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -383,19 +450,29 @@ def load_csv(path: str) -> Dataset:
         first = next(f, None)
         if first is None:
             raise ParseError(f"{path!r} has a header but no rows")
-        try:
-            table = np.loadtxt(_records(itertools.chain([first], f)), delimiter=",",
-                               comments=None, quotechar=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            table = None
-    if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
-        table = _walk_cells(path, header)
+        cache_path = _table_cache_path(path)
+        cached = table = _read_table_cache(cache_path, digest, len(header)) if digest else None
+        if table is None:
+            try:
+                table = np.loadtxt(_records(itertools.chain([first], f)), delimiter=",",
+                                   comments=None, quotechar=None, dtype=np.float64, ndmin=2)
+            except ValueError:
+                table = None
+        if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+            if not f.seekable():
+                raise ParseError(f"{path!r} needs a cell-by-cell parse, which re-reads the "
+                                 "file; load it from a regular file")
+            table = _walk_cells(f, header)
 
     def column(name: str) -> np.ndarray:
         return table[:, header.index(name)].copy()
 
     t_raw = column("t")
     _check_treatment(t_raw)
+    if digest and table is not cached:   # parsed, not read back: keep it for the next load
+        with contextlib.suppress(OSError), write_atomically(cache_path, "wb") as out:
+            np.savez(out, format=np.array(TABLE_CACHE_FORMAT), sha256=np.array(digest),
+                     table=table)
     return Dataset(
         x=table[:, [header.index(name) for name in covariate_cols]],
         t=t_raw.astype(np.int64),
@@ -403,43 +480,44 @@ def load_csv(path: str) -> Dataset:
         y_cf=column("y_cfactual") if "y_cfactual" in present else None,
         mu0=column("mu0") if "mu0" in present else None,
         mu1=column("mu1") if "mu1" in present else None,
+        sha256=digest,
     )
 
 
-def _walk_cells(path: str, header: list[str]) -> np.ndarray:
-    """The whole file parsed cell by cell with float(); raises at its first bad cell.
+def _walk_cells(f, header: list[str]) -> np.ndarray:
+    """The seekable file f parsed cell by cell with float(); raises at its first bad cell.
 
     load_csv's one error path. A ragged record comes first; then, column
     by column in the order t (then its 0/1 check), the covariates,
     y_factual, y_cfactual, mu0, mu1, the first cell float() rejects, else
-    the first non-finite one. Returns the table if no cell is bad. The file
-    is read twice, a record at a time, so only the table and one record's
-    cell strings are alive at once.
+    the first non-finite one. Returns the table if no cell is bad. f is
+    read twice from its start, a record at a time, so only the table and
+    one record's cell strings are alive at once.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as f:
-        n = 0
-        for n, record in enumerate(itertools.islice(csv.reader(f), 1, None), start=1):
-            if len(record) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(record)}", row=n + 1)
+    f.seek(0)
+    n = 0
+    for n, record in enumerate(itertools.islice(csv.reader(f), 1, None), start=1):
+        if len(record) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(record)}", row=n + 1)
     table = np.empty((n, len(header)))
     rejected, non_finite = {}, {}   # column -> (row, cell) of its first such cell
-    with open(path, "r", encoding="utf-8-sig", newline="") as f:
-        for i, record in enumerate(itertools.islice(csv.reader(f), 1, None)):
-            try:
-                values = [float(cell) for cell in record]
-            except ValueError:
-                values = []
-                for j, cell in enumerate(record):
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        rejected.setdefault(j, (i, cell))
-                        values.append(math.nan)
-            if not math.isfinite(sum(values)):   # a nan or inf, or a sum that overflows
-                for j, value in enumerate(values):
-                    if not math.isfinite(value):
-                        non_finite.setdefault(j, (i, record[j]))
-            table[i] = values
+    f.seek(0)
+    for i, record in enumerate(itertools.islice(csv.reader(f), 1, None)):
+        try:
+            values = [float(cell) for cell in record]
+        except ValueError:
+            values = []
+            for j, cell in enumerate(record):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    rejected.setdefault(j, (i, cell))
+                    values.append(math.nan)
+        if not math.isfinite(sum(values)):   # a nan or inf, or a sum that overflows
+            for j, value in enumerate(values):
+                if not math.isfinite(value):
+                    non_finite.setdefault(j, (i, record[j]))
+        table[i] = values
     covariates = [name for name in header if name not in _SPECIAL_COLUMNS]
     outcomes = [name for name in _SPECIAL_COLUMNS[1:] if name in header]
     for name in ["t", *covariates, *outcomes]:

@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in process."""
 import ctypes
+import hashlib
 import json
 import multiprocessing
 import os
@@ -402,6 +403,22 @@ def test_eval_explicit_split_changes_scores(benchmark_csv, tmp_path):
     assert run(["eval", "--checkpoint", train_out / "model.ckpt",
                 "--data", benchmark_csv, "--out", other, "--split-seed", 9]) == 0
     assert (train_out / "report.csv").read_bytes() != (other / "report.csv").read_bytes()
+
+
+def test_manifests_record_the_data_sha256(benchmark_csv, tmp_path):
+    """train, search and eval record the digest of the CSV's bytes; generate records no input."""
+    digest = hashlib.sha256(benchmark_csv.read_bytes()).hexdigest()
+    train_out, search_out, eval_out = tmp_path / "t", tmp_path / "s", tmp_path / "e"
+    assert run(["train", "--data", benchmark_csv, "--out", train_out, *NET_FLAGS]) == 0
+    assert run(["search", "--data", benchmark_csv, "--out", search_out, *SEARCH_FLAGS]) == 0
+    assert run(["eval", "--checkpoint", train_out / "model.ckpt",
+                "--data", benchmark_csv, "--out", eval_out]) == 0
+    data_inputs = {"data": str(benchmark_csv), "data_sha256": digest}
+    assert manifest_of(train_out)["inputs"] == data_inputs
+    assert manifest_of(search_out)["inputs"] == data_inputs
+    assert manifest_of(eval_out)["inputs"] == {
+        "checkpoint": str(train_out / "model.ckpt"), **data_inputs}
+    assert manifest_of(benchmark_csv.parent)["inputs"] == {}
 
 
 def test_eval_missing_checkpoint_is_runtime_error(benchmark_csv, tmp_path):

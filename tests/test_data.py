@@ -1,5 +1,10 @@
-"""Synthetic generator, splitting, outcome stripping, and CSV interchange."""
+"""Synthetic generator, splitting, outcome stripping, CSV interchange and its table cache."""
+import contextlib
 import csv
+import errno
+import hashlib
+import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adbcr.data import (CSV_WRITE_ROWS, TEST, TRAIN, VAL, Dataset, DgpConfig, generate,
-                        load_csv, save_csv, split, strip_outcomes)
+from adbcr import data
+from adbcr.data import (CSV_WRITE_ROWS, TABLE_CACHE_FORMAT, TEST, TRAIN, VAL, Dataset,
+                        DgpConfig, generate, load_csv, save_csv, split, strip_outcomes)
 from adbcr.errors import ConfigError, DatasetError, ParseError
 
 
@@ -464,6 +470,216 @@ def test_csv_large_file_bit_exact_against_float(tmp_path):
         assert getattr(back, name).tobytes() == table[:, column].tobytes()
     assert back.x.tobytes() == np.ascontiguousarray(table[:, 5:]).tobytes()
     assert back.x.tobytes() == ds.x.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the table cache
+
+DATASET_ARRAYS = ("x", "t", "y_factual", "y_cf", "mu0", "mu1")
+
+
+def cache_of(path: Path) -> Path:
+    return path.parent / f".{path.name}.table.npz"
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_cache(cache: Path, **arrays) -> None:
+    with open(cache, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def assert_same_arrays(a: Dataset, b: Dataset) -> None:
+    for name in DATASET_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def refuse_to_parse(monkeypatch) -> None:
+    """Make any parse of a CSV's records fail, so only a cache hit can load."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the records were parsed")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(data, "_walk_cells", refuse)
+
+
+@pytest.fixture
+def saved_csv(tmp_path) -> Path:
+    ds, _ = make(n=300, seed=2)
+    path = tmp_path / "d.csv"
+    save_csv(ds, str(path))
+    return path
+
+
+def test_second_load_is_a_hit_equal_to_the_parse(saved_csv, monkeypatch):
+    assert not cache_of(saved_csv).exists()   # save_csv writes no cache
+    parsed = load_csv(str(saved_csv))
+    assert parsed.sha256 == sha256_of(saved_csv)
+    assert cache_of(saved_csv).is_file()
+    refuse_to_parse(monkeypatch)
+    hit = load_csv(str(saved_csv))
+    assert_same_arrays(hit, parsed)
+    assert hit.sha256 == parsed.sha256
+
+
+def test_an_edit_that_keeps_size_and_mtime_misses(saved_csv):
+    """The key is the content: one digit changed, with the size and mtime kept, misses."""
+    before = load_csv(str(saved_csv))
+    stat = os.stat(saved_csv)
+    lines = saved_csv.read_bytes().split(b"\r\n")
+    cells = lines[1].split(b",")
+    digit = next(i for i, c in enumerate(cells[1]) if c in b"123456789")
+    old = cells[1]
+    cells[1] = old[:digit] + bytes([ord("1") + (old[digit] - ord("0")) % 9]) + old[digit + 1:]
+    lines[1] = b",".join(cells)
+    saved_csv.write_bytes(b"\r\n".join(lines))
+    os.utime(saved_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(saved_csv).st_size == stat.st_size
+    assert os.stat(saved_csv).st_mtime_ns == stat.st_mtime_ns
+    after = load_csv(str(saved_csv))
+    assert after.y_factual[0] == float(cells[1]) != before.y_factual[0]
+    assert after.y_factual[1:].tobytes() == before.y_factual[1:].tobytes()
+    assert after.sha256 == sha256_of(saved_csv) != before.sha256
+
+
+def _truncated(cache: Path, table: np.ndarray, digest: str) -> None:
+    cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+
+
+def _tagged(format_tag: str = TABLE_CACHE_FORMAT, digest_edit=lambda d: d, table_edit=None):
+    def edit(cache: Path, table: np.ndarray, digest: str) -> None:
+        write_cache(cache, format=np.array(format_tag), sha256=np.array(digest_edit(digest)),
+                    table=table_edit(table) if table_edit else table)
+    return edit
+
+
+def _not_a_zip(cache: Path, table: np.ndarray, digest: str) -> None:
+    cache.write_bytes(b"not a zip file\n")
+
+
+BAD_CACHES = {
+    "truncated": _truncated,
+    "other-digest": _tagged(digest_edit=lambda d: hashlib.sha256(d.encode()).hexdigest()),
+    "other-format": _tagged(format_tag="adbcr-csv-table-0"),
+    "float32": _tagged(table_edit=lambda t: t.astype(np.float32)),
+    "big-endian": _tagged(table_edit=lambda t: t.astype(">f8")),
+    "narrower": _tagged(table_edit=lambda t: t[:, :-1]),
+    "wider": _tagged(table_edit=lambda t: np.hstack([t, t[:, :1]])),
+    "no-rows": _tagged(table_edit=lambda t: t[:0]),
+    "one-dimensional": _tagged(table_edit=lambda t: t[0]),
+    "non-finite": _tagged(table_edit=lambda t: t * np.nan),
+    "not-a-zip": _not_a_zip,
+}
+
+
+@pytest.mark.parametrize("damage", BAD_CACHES.values(), ids=BAD_CACHES.keys())
+def test_a_bad_cache_misses_and_is_rewritten(saved_csv, monkeypatch, damage):
+    parsed = load_csv(str(saved_csv))
+    cache = cache_of(saved_csv)
+    with np.load(cache) as stored:
+        table = stored["table"]
+    damage(cache, table, parsed.sha256)
+    assert_same_arrays(load_csv(str(saved_csv)), parsed)
+    with np.load(cache) as stored:   # the miss rewrote the cache ...
+        assert str(stored["format"]) == TABLE_CACHE_FORMAT
+        assert str(stored["sha256"]) == parsed.sha256
+        assert stored["table"].tobytes() == table.tobytes()
+    refuse_to_parse(monkeypatch)   # ... and the next load hits it
+    assert_same_arrays(load_csv(str(saved_csv)), parsed)
+
+
+@pytest.mark.parametrize("fail_at", ["open", "write"])
+def test_a_cache_write_that_fails_still_loads(saved_csv, monkeypatch, fail_at):
+    """A cache write that raises OSError (a full disk, a read-only directory: chmod
+    does not stop root, so the write is made to fail) leaves the load whole and no
+    hidden file behind."""
+    real = data.write_atomically
+
+    @contextlib.contextmanager
+    def full_disk(path, mode="w", **kwargs):
+        if fail_at == "open":
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+        with real(path, mode, **kwargs) as f:
+            f.write(b"PK")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        yield
+
+    monkeypatch.setattr(data, "write_atomically", full_disk)
+    ds, _ = make(n=300, seed=2)
+    back = load_csv(str(saved_csv))
+    assert back.x.tobytes() == ds.x.tobytes() and back.sha256 == sha256_of(saved_csv)
+    assert os.listdir(saved_csv.parent) == ["d.csv"]
+
+
+BAD_CSVS = {
+    "non-numeric": "t,y_factual,x0\r\n0,1.0,2.0\r\n1,oops,3.0\r\n",
+    "non-finite": "t,y_factual,x0\r\n0,1.0,2.0\r\n1,nan,3.0\r\n",
+    "treatment": "t,y_factual,x0\r\n0,1.0,2.0\r\n2,1.5,3.0\r\n",
+    "ragged": "t,y_factual,x0\r\n0,1.0,2.0\r\n1,1.5\r\n",
+    "header-only": "t,y_factual,x0\r\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_CSVS.values(), ids=BAD_CSVS.keys())
+def test_a_csv_that_fails_to_load_writes_no_cache(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError):
+        load_csv(str(path))
+    assert os.listdir(tmp_path) == ["bad.csv"]
+
+
+@pytest.mark.parametrize("name", ["non-finite", "treatment"])
+def test_a_cache_of_a_bad_table_fails_as_its_csv_does(tmp_path, monkeypatch, name):
+    """A cache that holds the table of a CSV that fails (one load_csv never writes)
+    goes through the parse's checks and raises the CSV's ParseError."""
+    text = BAD_CSVS[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as parsed:
+        load_csv(str(path))
+    table = np.array([[float(cell) for cell in line.split(",")]
+                      for line in text.split("\r\n")[1:-1]])
+    write_cache(cache_of(path), format=np.array(TABLE_CACHE_FORMAT),
+                sha256=np.array(sha256_of(path)), table=table)
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("the cache missed"))
+    with pytest.raises(ParseError) as hit:
+        load_csv(str(path))
+    assert (str(hit.value), hit.value.row, hit.value.column) == (
+        str(parsed.value), parsed.value.row, parsed.value.column)
+
+
+def load_through_fifo(tmp_path, text: bytes):
+    """load_csv of a FIFO that a thread fills with text."""
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(text,))
+    writer.start()
+    try:
+        return load_csv(str(fifo))
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_parses_with_no_cache_and_no_digest(saved_csv, tmp_path):
+    regular = load_csv(str(saved_csv))
+    piped = load_through_fifo(tmp_path, saved_csv.read_bytes())
+    assert_same_arrays(piped, regular)
+    assert piped.sha256 is None
+    assert sorted(os.listdir(tmp_path)) == [cache_of(saved_csv).name, "d.csv", "fifo.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_that_needs_the_cell_walk_fails_loudly(tmp_path):
+    """The walk re-reads its file, which a pipe cannot give twice: the load fails
+    with a ParseError rather than returning what a re-read finds."""
+    with pytest.raises(ParseError, match="needs a cell-by-cell parse"):
+        load_through_fifo(tmp_path, BAD_CSVS["non-numeric"].encode())
 
 
 # ---------------------------------------------------------------------------

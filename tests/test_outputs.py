@@ -125,7 +125,8 @@ def test_every_output_file_has_the_mode_the_umask_gives(tmp_path, umask, mode):
         os.umask(previous)
     names = {out.name: sorted(os.listdir(out)) for out in (gen, trained, searched)}
     assert names == {
-        "gen": ["dataset.csv", "manifest.json", "truth.json"],
+        # train and search leave the table cache of the CSV they loaded
+        "gen": [".dataset.csv.table.npz", "dataset.csv", "manifest.json", "truth.json"],
         "train": ["history.tsv", "manifest.json", "model.ckpt", "report.csv"],
         "search": ["best.ckpt", "manifest.json", "runs.csv"],
     }
