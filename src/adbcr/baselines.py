@@ -6,8 +6,14 @@ internally standardized covariates, minimizing
     (1/2n) * ||y - Xw - b||^2 + alpha * ||w||_1
 
 with an unpenalized intercept; the penalty applies on the standardized
-scale and the returned weights are mapped back to the input scale. The
-a_tarnet ablation is a trainer mode, not a class here.
+scale and the returned weights are mapped back to the input scale. A
+learner's rows are reduced once to the Gram matrix z'z/n and z'y/n of the
+standardized columns z (select_alpha shares a fold's across its grid), so
+a coordinate update reads d numbers, not n rows: the covariance updates of
+Friedman, Hastie & Tibshirani 2010 (J. Stat. Softw. 33(1)). The
+S-learner's estimated effect is its treatment coefficient
+(LassoModel.constant_effect). The a_tarnet ablation is a trainer mode, not
+a class here.
 
 DANNCR keeps the shared representation but pairs one outcome head per
 treatment (its `ARMS`) with a two-logit domain discriminator (its extra
@@ -55,69 +61,80 @@ def soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def coordinate_descent(z: np.ndarray, y_centered: np.ndarray,
+def coordinate_descent(gram: np.ndarray, corr: np.ndarray,
                        alpha: float) -> tuple[np.ndarray, int]:
-    """Cyclic soft-threshold sweeps from w = 0 on centered, scaled columns.
+    """Cyclic soft-threshold sweeps from w = 0 on the Gram matrix of the standardized rows.
 
-    Returns the weights and the number of sweeps run. Converged when the
-    largest coordinate change in a sweep drops below LASSO_TOL, or after
-    LASSO_MAX_SWEEPS sweeps. Zero columns keep weight 0.
+    gram is z'z/n and corr is z'y/n for the centered, scaled columns z and
+    the centered outcome y (the covariance updates of Friedman, Hastie &
+    Tibshirani 2010). fit = gram @ w is kept up to date as each weight
+    changes, so rho_j = corr_j - fit_j + gram_jj w_j and an update costs
+    O(d), not O(n). Returns the weights and the number of sweeps run.
+    Converged when the largest coordinate change in a sweep drops below
+    LASSO_TOL, or after LASSO_MAX_SWEEPS sweeps. Zero columns keep weight 0.
     """
-    n, d = z.shape
-    norms = (z * z).sum(axis=0) / n
-    w = np.zeros(d)
-    residual = y_centered.copy()
+    # Python floats: at the d of a lasso here (about 10), a list update is
+    # faster than a numpy call per changed coordinate.
+    rows = gram.tolist()
+    norms = gram.diagonal().tolist()
+    target = corr.tolist()
+    w = [0.0] * len(target)
+    fit = [0.0] * len(target)
     sweeps = 0
     for sweeps in range(1, LASSO_MAX_SWEEPS + 1):
         max_change = 0.0
-        for j in range(d):
-            if norms[j] == 0.0:
+        for j, norm in enumerate(norms):
+            if norm == 0.0:
                 continue
             old = w[j]
-            rho = z[:, j] @ residual / n + norms[j] * old
-            new = soft_threshold(rho, alpha) / norms[j]
+            new = soft_threshold(target[j] - fit[j] + norm * old, alpha) / norm
             if new != old:
-                residual += z[:, j] * (old - new)
+                change = new - old
+                fit = [f + g * change for f, g in zip(fit, rows[j])]
                 w[j] = new
-                max_change = max(max_change, abs(new - old))
+                max_change = max(max_change, abs(change))
         if max_change < LASSO_TOL:
             break
-    return w, sweeps
+    return np.array(w), sweeps
 
 
 class _Standardized(NamedTuple):
-    """A learner's rows on the solver's scale: z = (x - mean) / scale, y centered."""
+    """A learner's rows on the solver's scale, as z = (x - mean) / scale and y centered.
+
+    Only the Gram matrix gram = z'z/n and corr = z'y/n are kept, not z.
+    """
 
     mean: np.ndarray
     sd: np.ndarray
     scale: np.ndarray
-    z: np.ndarray
     y_mean: float
-    y_centered: np.ndarray
+    gram: np.ndarray
+    corr: np.ndarray
 
 
 def _standardize(x: np.ndarray, y: np.ndarray) -> _Standardized:
-    """lasso_fit's first step: check the rows and put them on the solver's scale."""
+    """lasso_fit's first step: check the rows and reduce them to the solver's Gram matrix."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionError(f"lasso_fit got x {x.shape} and y {y.shape}")
-    if x.shape[0] < 2:
-        raise DatasetError(f"lasso_fit needs at least 2 rows, got {x.shape[0]}")
+    n = x.shape[0]
+    if n < 2:
+        raise DatasetError(f"lasso_fit needs at least 2 rows, got {n}")
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     scale = np.where(sd == 0.0, 1.0, sd)
     z = (x - mean) / scale
     z[:, sd == 0.0] = 0.0
     y_mean = y.mean()
-    return _Standardized(mean, sd, scale, z, y_mean, y - y_mean)
+    return _Standardized(mean, sd, scale, y_mean, z.T @ z / n, z.T @ (y - y_mean) / n)
 
 
 def _solve(rows: _Standardized, alpha: float) -> tuple[np.ndarray, float]:
     """lasso_fit's second step: coordinate descent, weights mapped back to the input scale."""
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
-    w_std, _ = coordinate_descent(rows.z, rows.y_centered, alpha)
+    w_std, _ = coordinate_descent(rows.gram, rows.corr, alpha)
     w = w_std / rows.scale
     w[rows.sd == 0.0] = 0.0
     intercept = rows.y_mean - float(w @ rows.mean)
@@ -135,10 +152,10 @@ class LassoModel:
 
     learners holds (weights, intercept) pairs. single: one learner on
     [x, t], its d + 1 weights with the treatment coefficient last, so the
-    estimated effect is that coefficient for every row; the y1 - y0 of
-    predict_potential_outcomes (which evaluate_model scores) equals it
-    only up to one rounding, a few 1e-16 apart between rows.
-    per_treatment: one learner per arm, arm 0 first.
+    estimated effect is that coefficient for every row (constant_effect);
+    the y1 - y0 of predict_potential_outcomes equals it only up to one
+    rounding, a few 1e-16 apart between rows. per_treatment: one learner
+    per arm, arm 0 first.
     """
 
     variant: str
@@ -147,6 +164,11 @@ class LassoModel:
     learners: list[tuple[np.ndarray, float]]
 
     kind = "lasso"
+
+    @property
+    def constant_effect(self) -> float | None:
+        """The S-learner's treatment coefficient; None for the T-learner."""
+        return float(self.learners[0][0][-1]) if self.variant == "single" else None
 
     def predict_potential_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = check_columns(x, self.input_dim)
@@ -216,9 +238,9 @@ def select_alpha(x: np.ndarray, t: np.ndarray, y: np.ndarray, variant: str,
 
     Cross validation runs LASSO_CV_FOLDS folds. Ties take the last grid
     entry, so with the ascending default grid the strongest of the tied
-    shrinkage levels wins. Each fold standardizes its learners' rows once
-    and solves them at every grid alpha, so each fit has the bits lasso_fit
-    gives it.
+    shrinkage levels wins. Each fold reduces its learners' rows to their
+    Gram matrices once and solves them at every grid alpha, so each fit has
+    the bits lasso_fit gives it.
     """
     if len(grid) == 0:
         raise ConfigError("alpha grid is empty")

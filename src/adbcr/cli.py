@@ -7,10 +7,10 @@ Config files are flat ``key = value`` text, parsed and checked as the flags
 are; flags win over file values, file values over defaults. --seed, --out,
 --config, --data, --mode, --jobs and --checkpoint are flags only. Each
 command finishes by writing manifest.json with the effective configuration,
-paths, the dataset's sha256, tool version, and wall-clock duration, so a run
-can be reproduced from its manifest alone. Every output file but history.tsv
-is written through `adbcr.data.write_atomically`, so it appears whole or not
-at all.
+paths, the sha256 of the dataset (and of eval's checkpoint), tool version,
+and wall-clock duration, so a run can be reproduced from its manifest alone.
+Every output file but history.tsv is written through
+`adbcr.data.write_atomically`, so it appears whole or not at all.
 `main` keeps freed heap in the process and runs OpenBLAS on one thread
 unless the environment names a thread count.
 
@@ -431,7 +431,7 @@ EVAL = {
 def cmd_eval(args) -> int:
     started = time.monotonic()
     options = resolve_options(args, EVAL)
-    model, header = load_checkpoint(args.checkpoint)
+    model, header, checkpoint_sha256 = load_checkpoint(args.checkpoint)
     split_seed = options["split_seed"]
     if split_seed is None:
         split_seed = header_field(header, "data_seed", lambda v: v is None or valid_int(v)) or 0
@@ -456,7 +456,8 @@ def cmd_eval(args) -> int:
     _write_reports(report_path, reports)
     manifest_path = write_manifest(
         args, {**options, "split_seed_used": split_seed, "fractions_used": fractions},
-        {"checkpoint": args.checkpoint, "data": args.data, "data_sha256": dataset.sha256},
+        {"checkpoint": args.checkpoint, "checkpoint_sha256": checkpoint_sha256,
+         "data": args.data, "data_sha256": dataset.sha256},
         {"report": report_path}, started)
     print(f"wrote {report_path}")
     print(f"wrote {manifest_path}")

@@ -202,10 +202,24 @@ def write_reports_csv(path: str, reports: list[MetricsReport]) -> None:
             f.write(",".join(_fmt(getattr(r, c)) for c in REPORT_COLUMNS) + "\n")
 
 
+def effect_estimate(model, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Each row's estimated effect, given the outcomes the model predicted for the rows.
+
+    That is y1 - y0, except for a model with a constant_effect that is not
+    None (the single-variant LassoModel), whose estimate is that value for
+    every row; its y1 - y0 holds it only up to one rounding per row.
+    """
+    effect = getattr(model, "constant_effect", None)
+    return y1 - y0 if effect is None else np.full(y0.shape, effect)
+
+
 def evaluate_model(model, dataset: Dataset, rows: np.ndarray, split_label: str,
                    seed: int | None = None, fingerprint: str | None = None,
                    validation_criterion: float | None = None) -> MetricsReport:
-    """Score a fitted model (any kind with predict_potential_outcomes) on rows."""
+    """Score a fitted model (any kind with predict_potential_outcomes) on rows.
+
+    The effect metrics score effect_estimate of the one prediction.
+    """
     y0, y1 = model.predict_potential_outcomes(dataset.x[rows])
     predicted_factual = np.where(dataset.t[rows] == 1, y1, y0)
     factual_mse = float(np.mean((predicted_factual - dataset.y_factual[rows]) ** 2))
@@ -213,7 +227,7 @@ def evaluate_model(model, dataset: Dataset, rows: np.ndarray, split_label: str,
                            validation_criterion=validation_criterion)
     if dataset.has_ground_truth:
         tau = dataset.tau_true()[rows]
-        tau_hat = y1 - y0
+        tau_hat = effect_estimate(model, y0, y1)
         report.sqrt_pehe = math.sqrt(pehe(tau, tau_hat))
         report.ate_error = ate_error(tau, tau_hat)
     else:

@@ -355,14 +355,18 @@ def write_checkpoint(path: str, kind: str, arch: dict,
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray], dict]:
+def read_checkpoint(path: str,
+                    blob: bytes | None = None) -> tuple[str, dict, dict[str, np.ndarray], dict]:
     """Read the container back as (kind, arch, arrays, header).
 
-    A file that cannot be opened raises OSError unchanged; CheckpointError
-    is reserved for content defects, a missing header field among them.
+    blob, if given, is the file's bytes as the caller read them, and path
+    only names the file in errors. A file that cannot be opened raises
+    OSError unchanged; CheckpointError is reserved for content defects, a
+    missing header field among them.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
+    if blob is None:
+        with open(path, "rb") as f:
+            blob = f.read()
     if len(blob) < len(_MAGIC) + 12 or not blob.startswith(_MAGIC):
         raise CheckpointError(f"{path!r} is not a checkpoint file")
     offset = len(_MAGIC)
@@ -469,17 +473,20 @@ CHECKPOINT_LOADERS: dict[str, Callable[[dict[str, np.ndarray], dict], object]] =
     AdbcrModel.kind: AdbcrModel.load}
 
 
-def load_checkpoint(path: str) -> tuple[object, dict]:
-    """Load any checkpoint written by this package as (model, header).
+def load_checkpoint(path: str) -> tuple[object, dict, str]:
+    """Load any checkpoint written by this package as (model, header, sha256).
 
-    Dispatches on the checkpoint's kind.
+    Dispatches on the checkpoint's kind. sha256 is the hex digest of the
+    bytes the model was read from; the file is read once.
     """
-    kind, _, arrays, header = read_checkpoint(path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    kind, _, arrays, header = read_checkpoint(path, blob)
     loader = CHECKPOINT_LOADERS.get(kind)
     if loader is None:
         raise CheckpointError(
             f"unknown checkpoint kind {kind!r}; known kinds: {sorted(CHECKPOINT_LOADERS)}")
-    return loader(arrays, header), header
+    return loader(arrays, header), header, hashlib.sha256(blob).hexdigest()
 
 
 def load_model(path: str):

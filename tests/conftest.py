@@ -1,7 +1,7 @@
 """Shared helpers: finite-difference oracles, small benchmark fixtures, checkpoint edits.
 
-Also the per-head forward (the reference for the stacked heads) and the lasso
-effect estimate, which only tests use.
+Also the per-head forward (the reference for the stacked heads), which only
+tests use, and the lasso effect estimate of the package's scoring path.
 """
 import ctypes
 import os
@@ -16,6 +16,7 @@ import adbcr
 from adbcr import blas, cli, data
 from adbcr.autodiff import Tape
 from adbcr.baselines import LassoModel
+from adbcr.evaluation import effect_estimate
 from adbcr.model import Network, check_columns, dense_forward, read_checkpoint, write_checkpoint
 
 
@@ -163,9 +164,6 @@ def forward_head(model: Network, x: np.ndarray, t: int, r: int,
 
 
 def lasso_cate(model: LassoModel, x: np.ndarray) -> np.ndarray:
-    """Estimated effect per row: constant for single, model difference otherwise."""
-    if model.variant == "single":
-        x = check_columns(x, model.input_dim)
-        return np.full(x.shape[0], model.learners[0][0][-1])
+    """Estimated effect per row, as evaluate_model scores it."""
     y0, y1 = model.predict_potential_outcomes(x)
-    return y1 - y0
+    return effect_estimate(model, y0, y1)

@@ -150,8 +150,86 @@ def test_coordinate_descent_zero_column_stays_zero():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(20, 2))
     z[:, 1] = 0.0
-    w, _ = coordinate_descent(z, rng.normal(size=20), 0.01)
+    y = rng.normal(size=20)
+    w, _ = coordinate_descent(z.T @ z / 20, z.T @ y / 20, 0.01)
     assert w[1] == 0.0
+
+
+def residual_form_descent(z: np.ndarray, y_centered: np.ndarray,
+                          alpha: float) -> tuple[np.ndarray, int]:
+    """The residual-form solver: the same sweeps, with each update an O(n) pass over z."""
+    n, d = z.shape
+    norms = (z * z).sum(axis=0) / n
+    w = np.zeros(d)
+    residual = y_centered.copy()
+    sweeps = 0
+    for sweeps in range(1, baselines.LASSO_MAX_SWEEPS + 1):
+        max_change = 0.0
+        for j in range(d):
+            if norms[j] == 0.0:
+                continue
+            old = w[j]
+            rho = z[:, j] @ residual / n + norms[j] * old
+            new = soft_threshold(rho, alpha) / norms[j]
+            if new != old:
+                residual += z[:, j] * (old - new)
+                w[j] = new
+                max_change = max(max_change, abs(new - old))
+        if max_change < baselines.LASSO_TOL:
+            break
+    return w, sweeps
+
+
+def standardized_problem(seed: int, n: int, d: int):
+    """(z, y centered, z'z/n, z'y/n) of a sparse problem with correlated covariates."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) + 0.5 * rng.normal(size=(n, 1))
+    w = np.zeros(d)
+    w[:min(d, 5)] = rng.normal(size=min(d, 5))
+    y = x @ w + rng.normal(size=n)
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    y_centered = y - y.mean()
+    return z, y_centered, z.T @ z / n, z.T @ y_centered / n
+
+
+KKT_PROBLEMS = [(30, 200, 4, 0.0), (31, 500, 11, 0.001), (32, 500, 11, 0.05),
+                (33, 1000, 50, 0.02), (34, 1000, 200, 0.05)]
+
+
+@pytest.mark.parametrize("seed, n, d, alpha", KKT_PROBLEMS)
+def test_coordinate_descent_meets_kkt_conditions(seed, n, d, alpha):
+    """corr - G w is the subgradient of alpha |w|: within alpha where w_j = 0, equal to
+    alpha sign(w_j) elsewhere. The last sweep moved every weight by less than LASSO_TOL
+    after its own update, so row j of G can leave at most LASSO_TOL * sum_k |G_jk|."""
+    _, _, gram, corr = standardized_problem(seed, n, d)
+    w, sweeps = coordinate_descent(gram, corr, alpha)
+    assert sweeps < baselines.LASSO_MAX_SWEEPS
+    gradient = corr - gram @ w
+    tol = baselines.LASSO_TOL * np.abs(gram).sum(axis=1) + 1e-12
+    zero = w == 0.0
+    assert np.all(np.abs(gradient[zero]) <= alpha + tol[zero])
+    np.testing.assert_array_less(np.abs(gradient[~zero] - alpha * np.sign(w[~zero])), tol[~zero])
+    if alpha == 0.0:
+        assert not zero.any()
+
+
+@pytest.mark.parametrize("above", [0.0, 1e-9, 1.0])
+def test_coordinate_descent_alpha_at_max_corr_zeroes_in_one_sweep(above):
+    _, _, gram, corr = standardized_problem(35, 300, 8)
+    w, sweeps = coordinate_descent(gram, corr, float(np.abs(corr).max()) + above)
+    np.testing.assert_array_equal(w, np.zeros(8))
+    assert sweeps == 1
+
+
+@pytest.mark.parametrize("seed, n, d, alpha", KKT_PROBLEMS + [(36, 80, 3, 0.3)])
+def test_coordinate_descent_matches_residual_form(seed, n, d, alpha):
+    """The Gram solver's weights are the residual-form solver's up to rounding, after as
+    many sweeps."""
+    z, y_centered, gram, corr = standardized_problem(seed, n, d)
+    w, sweeps = coordinate_descent(gram, corr, alpha)
+    w_ref, sweeps_ref = residual_form_descent(z, y_centered, alpha)
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+    assert sweeps == sweeps_ref
 
 
 # ---------------------------------------------------------------------------

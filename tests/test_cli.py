@@ -406,7 +406,8 @@ def test_eval_explicit_split_changes_scores(benchmark_csv, tmp_path):
 
 
 def test_manifests_record_the_data_sha256(benchmark_csv, tmp_path):
-    """train, search and eval record the digest of the CSV's bytes; generate records no input."""
+    """train, search and eval record the digest of the CSV's bytes, and eval that of the
+    checkpoint's; generate records no input."""
     digest = hashlib.sha256(benchmark_csv.read_bytes()).hexdigest()
     train_out, search_out, eval_out = tmp_path / "t", tmp_path / "s", tmp_path / "e"
     assert run(["train", "--data", benchmark_csv, "--out", train_out, *NET_FLAGS]) == 0
@@ -416,8 +417,10 @@ def test_manifests_record_the_data_sha256(benchmark_csv, tmp_path):
     data_inputs = {"data": str(benchmark_csv), "data_sha256": digest}
     assert manifest_of(train_out)["inputs"] == data_inputs
     assert manifest_of(search_out)["inputs"] == data_inputs
+    checkpoint = train_out / "model.ckpt"
     assert manifest_of(eval_out)["inputs"] == {
-        "checkpoint": str(train_out / "model.ckpt"), **data_inputs}
+        "checkpoint": str(checkpoint),
+        "checkpoint_sha256": hashlib.sha256(checkpoint.read_bytes()).hexdigest(), **data_inputs}
     assert manifest_of(benchmark_csv.parent)["inputs"] == {}
 
 

@@ -1,4 +1,5 @@
 """Effect metrics, report tables, and hyper-parameter search."""
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adbcr import blas, data, evaluation
+from adbcr.baselines import fit_lasso_on_dataset
 from adbcr.errors import ConfigError, DatasetError, DimensionError, DomainError, SearchError
 from adbcr.evaluation import (REPORT_COLUMNS, RUN_TABLE_COLUMNS, MetricsReport,
-                              SearchResult, SearchSpace, ate_error, evaluate_model, nn_pehe,
+                              SearchResult, SearchSpace, ate_error, effect_estimate,
+                              evaluate_model, nn_pehe,
                               pehe, sample_configs, search, select_by_nn_pehe,
                               standard_reports, write_reports_csv, write_run_table)
 from adbcr.trainer import TrainConfig, train
@@ -286,6 +289,33 @@ def test_evaluate_model_scores_match_predictions(bench_dataset):
     np.testing.assert_allclose(report.sqrt_pehe, np.sqrt(pehe(tau, y1 - y0)), rtol=1e-12)
     np.testing.assert_allclose(report.ate_error, ate_error(tau, y1 - y0), rtol=1e-12)
     assert report.split == "out" and report.n == rows.size and report.note == ""
+
+
+def test_evaluate_model_scores_the_s_lasso_coefficient():
+    """The S-learner's effect is its treatment coefficient on every row. Its y1 - y0 rounds
+    per row, and on these rows that moves the ATE error; its factual predictions stay y0
+    and y0 + w[-1]."""
+    dataset = data.split(data.generate(data.DgpConfig(n=600, seed=7))[0])
+    model = fit_lasso_on_dataset(dataset, "single", seed=1)
+    coefficient = model.learners[0][0][-1]
+    for report in standard_reports(model, dataset):
+        rows = dataset.indices(data.TEST) if report.split == "out" else np.concatenate(
+            [dataset.indices(data.TRAIN), dataset.indices(data.VAL)])
+        y0, y1 = model.predict_potential_outcomes(dataset.x[rows])
+        assert np.unique(y1 - y0).size > 1
+        predicted = np.where(dataset.t[rows] == 1, y1, y0)
+        assert report.factual_mse == float(np.mean((predicted - dataset.y_factual[rows]) ** 2))
+        tau, tau_hat = dataset.tau_true()[rows], np.full(rows.size, coefficient)
+        np.testing.assert_array_equal(effect_estimate(model, y0, y1), tau_hat)
+        assert report.sqrt_pehe == math.sqrt(pehe(tau, tau_hat))
+        assert report.ate_error == ate_error(tau, tau_hat)
+
+
+def test_network_effect_estimate_is_y1_minus_y0(bench_dataset):
+    result = train(bench_dataset, search_base(shared_layers=(8,), head_layers=(6,),
+                                              batch_size=40, max_epochs=2))
+    y0, y1 = result.model.predict_potential_outcomes(bench_dataset.x)
+    np.testing.assert_array_equal(effect_estimate(result.model, y0, y1), y1 - y0)
 
 
 def test_evaluate_model_without_ground_truth(bench_dataset):

@@ -3,8 +3,8 @@
 bench/tracer.py rebinds adbcr's functions by name, so a renamed step, or a
 mode table that held the function objects themselves, would make its
 traced counts fall to 0 without any error. Each network mode is traced
-through one short `train` run, and the traced tape-node count is checked
-against a tape's own.
+through one short `train` run, each lasso variant through one cross-validated
+fit, and the traced tape-node count is checked against a tape's own.
 """
 import os
 import sys
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import adbcr.cli  # noqa: F401  (loads every adbcr module before the tracer scans them)
-from adbcr import objectives, trainer
+from adbcr import baselines, objectives, trainer
 from adbcr.autodiff import Tape
 from adbcr.baselines import DanncrModel
 from adbcr.model import AdbcrModel
@@ -67,3 +67,29 @@ def test_tracer_counts_every_tape_node(network):
         t.uninstall()
     _, counts = t.totals()
     assert counts["autodiff.tape_nodes"] == len(tape._nodes)
+
+
+@pytest.mark.parametrize("variant, learners", [("single", 1), ("per_treatment", 2)])
+def test_tracer_sees_every_lasso_solve(bench_dataset, monkeypatch, variant, learners):
+    """One run.lasso span; each fold, grid alpha and learner, and each final learner, is one
+    traced solver call, and the traced sweeps are the sweeps the calls returned."""
+    returned = []
+    solve = baselines.coordinate_descent
+
+    def recording(*args):
+        out = solve(*args)
+        returned.append(out[1])
+        return out
+
+    monkeypatch.setattr(baselines, "coordinate_descent", recording)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        baselines.fit_lasso_on_dataset(bench_dataset, variant)
+    finally:
+        t.uninstall()
+    spans, counts = t.totals()
+    solves = (baselines.LASSO_CV_FOLDS * len(baselines.DEFAULT_ALPHA_GRID) + 1) * learners
+    assert spans["run.lasso"][0] == 1
+    assert spans["baselines.coordinate_descent"][0] == len(returned) == solves
+    assert counts["baselines.coordinate_descent.sweeps"] == sum(returned) > 0
